@@ -15,6 +15,7 @@ from .experiments import (
     ExperimentConfig,
     _format_cell,
     build_problem,
+    derived_seeds,
     emit_csv,
     load_config,
     repeat_runs,
@@ -69,6 +70,8 @@ def _emit(rows: Sequence[Sequence], out: Optional[str]) -> None:
 # ------------------------------- subcommands ------------------------------- #
 
 def _cmd_run(config: ExperimentConfig, out: Optional[str], args) -> int:
+    if args.reps is not None:
+        derived_seeds(config, args.reps)  # fail before printing a partial report
     coeffs, grid, domain, partition, scfg = build_problem(config)
     noise = sample_noise(config.seed, config.M, grid, coeffs.d, coeffs.l)
     sol = solve(coeffs, grid, domain, noise, [config.x0] * coeffs.d, partition,
@@ -117,8 +120,7 @@ def _cmd_spde_grid(config: ExperimentConfig, out: Optional[str], args) -> int:
     acc_u = np.zeros((grid.N + 1, P))
     acc_v = np.zeros((grid.N + 1, P))
     tasks = [(n, p) for n in range(grid.N + 1) for p in range(P)]
-    for rep in range(reps):
-        seed = config.seed + rep
+    for seed in derived_seeds(config, reps):
         wpath = sample_noise(seed, 1, grid, coeffs.d, coeffs.l).backward
 
         def one(task: Tuple[int, int]) -> Tuple[float, float]:

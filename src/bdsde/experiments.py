@@ -180,8 +180,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"mode {self.mode!r} needs a g coupling; set g_choice"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(
+                f"seed must be an unsigned 64-bit integer, got {self.seed}"
+            )
         if self.I < 0:
             raise ConfigError(f"I must be nonnegative, got {self.I}")
         if self.R_runs < 2:
@@ -192,6 +194,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"spatial_points must be at least 1, got {self.spatial_points}"
             )
+
+
+def derived_seeds(config: ExperimentConfig, reps: int) -> range:
+    """Seeds seed+0 .. seed+reps-1 of a repetition set, all below 2**64."""
+    if config.seed + reps > 2 ** 64:
+        raise ConfigError(
+            f"seed + repetitions must stay below 2**64, got seed {config.seed} "
+            f"with {reps} repetitions"
+        )
+    return range(config.seed, config.seed + reps)
 
 
 def _coerced(name: str, value):
@@ -319,11 +331,18 @@ def _run_set(
     alive at t_n (over all paths if none survived, every value then being a
     frozen exit payoff).
     """
+    if R_runs < 2:
+        raise InvalidParameterError(
+            f"reps (R_runs) must be at least 2 to define a std, got {R_runs}"
+        )
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be positive, got {threads}")
+    seeds = derived_seeds(config, R_runs)
     use, grid, domain, partition, scfg = build_problem(config, coeffs)
     x0 = [config.x0] * use.d
 
-    def one(r: int) -> Dict[int, float]:
-        noise = sample_noise(config.seed + r, config.M, grid, use.d, use.l)
+    def one(seed: int) -> Dict[int, float]:
+        noise = sample_noise(seed, config.M, grid, use.d, use.l)
         sol = solve(use, grid, domain, noise, x0, partition, scfg,
                     shift_enabled=config.shift_enabled)
         snap: Dict[int, float] = {}
@@ -337,9 +356,9 @@ def _run_set(
         return snap
 
     if threads <= 1:
-        return [one(r) for r in range(R_runs)]
+        return [one(seed) for seed in seeds]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(R_runs)))
+        return list(pool.map(one, seeds))
 
 
 def repeat_runs(
@@ -355,12 +374,6 @@ def repeat_runs(
     realization of both the forward paths and the shared backward path.
     """
     R = config.R_runs if R_runs is None else R_runs
-    if R < 2:
-        raise InvalidParameterError(
-            f"R_runs must be at least 2 to define a std, got {R}"
-        )
-    if threads < 1:
-        raise InvalidParameterError(f"threads must be positive, got {threads}")
     snaps = _run_set(config, R, threads, coeffs, (0,))
     values = tuple(s[0] for s in snaps)
     mean, std = _stats(values)
@@ -393,10 +406,6 @@ def run_table(
     actually used, so bsde rows always read "none".
     """
     R = config.R_runs if reps is None else reps
-    if R < 2:
-        raise InvalidParameterError(
-            f"reps must be at least 2 to define a std, got {R}"
-        )
     times = _table_times(config.N)
     rows: List[Tuple] = []
     for mode in _active_modes(config.g_choice):

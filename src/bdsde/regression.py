@@ -23,6 +23,8 @@ __all__ = [
     "HypercubePartition",
     "CellFunction",
     "build_partition",
+    "fit_cells",
+    "gather",
     "project",
     "lsq_oracle",
 ]
@@ -110,20 +112,19 @@ class CellFunction:
         return self.coefficients.shape[1:]
 
     def evaluate(self, x: Array) -> Array:
-        idx = self.partition.cell_index(x)
-        out = self.coefficients[np.maximum(idx, 0)].copy()
-        out[idx < 0] = 0.0
-        return out
+        return gather(self.coefficients, self.partition.cell_index(x))
+
+
+def gather(coefficients: Array, cells: Array) -> Array:
+    """Coefficient rows at flat cell ids; an id of -1 (outside [d1, d2))
+    takes the zero row appended after the last cell."""
+    zero = np.zeros((1,) + coefficients.shape[1:])
+    return np.concatenate([coefficients, zero]).take(cells, axis=0)
 
 
 # ------------------------------- projection -------------------------------- #
 
-def _validate_samples(
-    partition: HypercubePartition,
-    xs: Array,
-    vs: Array,
-    mask: Optional[Array],
-) -> tuple:
+def _validate_samples(xs: Array, vs: Array, mask: Optional[Array]) -> tuple:
     xs = np.asarray(xs, dtype=np.float64)
     vs = np.asarray(vs, dtype=np.float64)
     M = xs.shape[0]
@@ -141,11 +142,55 @@ def _validate_samples(
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (M,):
             raise InvalidParameterError(f"mask shape {mask.shape}, expected ({M},)")
-    bad = mask & ~np.isfinite(vs.reshape(M, -1)).all(axis=1)
+    return xs, vs, mask
+
+
+def _check_finite(flat: Array, mask: Array) -> None:
+    if np.isfinite(flat).all():
+        return
+    bad = mask & ~np.isfinite(flat).all(axis=1)
     if bad.any():
         m = int(np.nonzero(bad)[0][0])
         raise EvaluationError(f"non-finite regression target at sample {m}")
-    return xs, vs, mask
+
+
+def fit_cells(
+    partition: HypercubePartition,
+    cells: Array,
+    vs: Array,
+    mask: Optional[Array] = None,
+) -> CellFunction:
+    """Per-cell means of targets vs at the flat cell ids of their samples.
+
+    ``cells`` is ``partition.cell_index`` of the sample states.  Cells that
+    receive no masked-in sample get the zero vector and are counted in
+    ``empty_cells``; a masked-in sample with id -1 (outside [d1, d2)) is
+    dropped and counted in ``out_of_range_samples``.  One bincount sums
+    every target column: column c of sample m goes to bin ``cells[m]*C + c``
+    (dropped samples to spare bins past the last cell).  A bin holds one
+    column and bincount adds its samples in sample order, so the means
+    equal a column-by-column fit bitwise.
+    """
+    vs = np.asarray(vs, dtype=np.float64)
+    flat = vs.reshape(cells.shape[0], -1)
+    C = flat.shape[1]
+    if mask is None:
+        mask = np.ones(cells.shape[0], dtype=bool)
+    _check_finite(flat, mask)
+    total = partition.total_cells
+    keys = np.where(mask & (cells >= 0), cells, total)
+    counts = np.bincount(keys, minlength=total + 1)[:total]
+    sums = np.bincount((keys * C + np.arange(C)[:, None]).ravel(),
+                       weights=flat.T.ravel(), minlength=(total + 1) * C)
+    occupied = counts > 0
+    coeffs = np.zeros((total, C))
+    coeffs[occupied] = sums[:total * C].reshape(total, C)[occupied] / counts[occupied, None]
+    return CellFunction(
+        partition=partition,
+        coefficients=coeffs.reshape((total,) + vs.shape[1:]),
+        empty_cells=int(total - np.count_nonzero(occupied)),
+        out_of_range_samples=int(np.count_nonzero(mask) - counts.sum()),
+    )
 
 
 def project(
@@ -154,35 +199,10 @@ def project(
     vs: Array,
     mask: Optional[Array] = None,
 ) -> CellFunction:
-    """Empirical least-squares fit of targets vs onto the indicator basis.
-
-    Coefficients are per-cell means of the masked-in targets; cells that
-    receive no masked-in sample get the zero vector and are counted in
-    ``empty_cells``.  A masked-in sample outside [d1, d2) is dropped from
-    the fit and counted in ``out_of_range_samples``.
-    """
-    xs, vs, mask = _validate_samples(partition, xs, vs, mask)
-    M = xs.shape[0]
-    vshape = vs.shape[1:]
-    flat = vs.reshape(M, -1)
-
-    cells = partition.cell_index(xs)
-    use = mask & (cells >= 0)
-    out_of_range = int(np.count_nonzero(mask & (cells < 0)))
-
-    total = partition.total_cells
-    counts = np.bincount(cells[use], minlength=total)
-    coeffs = np.zeros((total, flat.shape[1]))
-    occupied = counts > 0
-    for col in range(flat.shape[1]):
-        sums = np.bincount(cells[use], weights=flat[use, col], minlength=total)
-        coeffs[occupied, col] = sums[occupied] / counts[occupied]
-    return CellFunction(
-        partition=partition,
-        coefficients=coeffs.reshape((total,) + vshape),
-        empty_cells=int(total - np.count_nonzero(occupied)),
-        out_of_range_samples=out_of_range,
-    )
+    """Empirical least-squares fit of targets vs onto the indicator basis:
+    ``fit_cells`` at the cell ids of xs."""
+    xs, vs, mask = _validate_samples(xs, vs, mask)
+    return fit_cells(partition, partition.cell_index(xs), vs, mask)
 
 
 def lsq_oracle(
@@ -198,10 +218,9 @@ def lsq_oracle(
     empty cells come out zero.  Quadratic in the cell count; intended for
     cross-checking ``project`` on small instances, not production fits.
     """
-    xs, vs, mask = _validate_samples(partition, xs, vs, mask)
-    M = xs.shape[0]
-    vshape = vs.shape[1:]
-    flat = vs.reshape(M, -1)
+    xs, vs, mask = _validate_samples(xs, vs, mask)
+    flat = vs.reshape(xs.shape[0], -1)
+    _check_finite(flat, mask)
 
     cells = partition.cell_index(xs)
     use = mask & (cells >= 0)
@@ -210,4 +229,4 @@ def lsq_oracle(
     gram = design.T @ design
     rhs = design.T @ flat
     sol, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    return sol.reshape((partition.total_cells,) + vshape)
+    return sol.reshape((partition.total_cells,) + vs.shape[1:])

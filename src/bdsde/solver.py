@@ -33,7 +33,7 @@ from .model import (
     NoiseBundle,
     TimeGrid,
 )
-from .regression import CellFunction, HypercubePartition, project
+from .regression import HypercubePartition, fit_cells, gather, project
 
 Array = np.ndarray
 
@@ -84,6 +84,8 @@ class SolverConfig:
 class SolverDiagnostics:
     empty_cells_y: Array       # (N+1,) per-step empty-cell count of the y fit
     empty_cells_z: Array       # (N,)
+    out_of_range_y: Array      # (N+1,) per-step fit samples outside [d1, d2)
+    out_of_range_z: Array      # (N,)
     picard_residuals: Array    # (N, I) sup-norm coefficient moves per iteration
     exit_fraction: float
 
@@ -130,73 +132,34 @@ def terminal_values(paths: PathSet, coeffs: CoefficientSet) -> Array:
     return out
 
 
-def _g_term(
-    coeffs: CoefficientSet,
-    t_next: float,
-    x_next: Array,
-    y_next: Array,
-    z_next: Optional[CellFunction],
-    dW_n: Array,
-    live: Array,
-) -> Array:
-    """Per-path g(t_{n+1}, X_{n+1}, y_{n+1}, z_{n+1}(X_{n+1})) dW_n.
-
-    Zero rows for exited paths and identically zero when no g is present.
-    z_next is None at the last step, where the scheme's z is zero.
-    """
-    out = np.zeros_like(y_next)
-    if coeffs.g is None or not live.any():
-        return out
-    xs = x_next[live]
-    if z_next is None:
-        zv = np.zeros((xs.shape[0], coeffs.k, coeffs.d))
-    else:
-        zv = z_next.evaluate(xs)
-    gv = coeffs.eval_g(t_next, xs, y_next[live], zv)
-    out[live] = gv @ np.asarray(dW_n, dtype=np.float64)
-    return out
-
-
 def z_step(
     n: int,
     paths: PathSet,
-    y_next: Array,
-    z_next: Optional[CellFunction],
+    cells: Array,
+    base: Array,
     dB_n: Array,
-    dW_n: Array,
-    coeffs: CoefficientSet,
     partition: HypercubePartition,
 ) -> tuple:
     """Explicit regression for z at step n.
 
-    Live-path targets (y_{n+1} + g dW_n) dB_n^T / h are projected at the
-    time-n states; the fit population is live paths only.  Returns the
-    fitted CellFunction and realized values (zero rows for exited paths).
+    Live-path targets base dB_n^T / h, with base = y_{n+1} + g dW_n, are
+    fitted at the time-n cell ids; the fit population is live paths only.
+    Returns the fitted CellFunction and realized values (zero rows for
+    exited paths).
     """
-    grid = paths.grid
     live = paths.live_mask(n)
-    x_n = paths.states[:, n]
-    g_term = _g_term(coeffs, float(grid.times[n + 1]), paths.states[:, n + 1],
-                     y_next, z_next, dW_n, live)
-    M, k = y_next.shape
-    d = paths.states.shape[-1]
-    targets = np.zeros((M, k, d))
-    targets[live] = ((y_next[live] + g_term[live])[:, :, None]
-                     * np.asarray(dB_n, dtype=np.float64)[live, None, :] / grid.h)
-    z_fn = project(partition, x_n, targets, mask=live)
-    realized = np.zeros((M, k, d))
-    if live.any():
-        realized[live] = z_fn.evaluate(x_n[live])
-    return z_fn, realized
+    targets = (base[:, :, None]
+               * np.asarray(dB_n, dtype=np.float64)[:, None, :] / paths.grid.h)
+    z_fn = fit_cells(partition, cells, targets, mask=live)
+    return z_fn, gather(z_fn.coefficients, np.where(live, cells, -1))
 
 
 def y_step(
     n: int,
     paths: PathSet,
-    y_next: Array,
+    cells: Array,
+    base: Array,
     z_n: Array,
-    z_next: Optional[CellFunction],
-    dW_n: Array,
     coeffs: CoefficientSet,
     partition: HypercubePartition,
     picard_iterations: int,
@@ -204,38 +167,31 @@ def y_step(
     """Implicit regression for y at step n via Picard iteration from zero.
 
     Every path contributes to the fit population: live paths carry the
-    full target y_{n+1} + h f + g dW_n, exited paths carry their frozen
-    value so the conditional-mean term survives for their cells.  With
-    zero iterations the projection of the explicit part is returned and
-    f never enters.  Returns (CellFunction, realized values, residuals).
+    full target base + h f with base = y_{n+1} + g dW_n, exited paths carry
+    their frozen value so the conditional-mean term survives for their
+    cells.  The iterates live as coefficient arrays and are read back at
+    the live paths' cell ids.  With zero iterations the projection of base
+    is returned and f never enters.  Returns (CellFunction, realized
+    values, residuals).
     """
-    grid = paths.grid
     live = paths.live_mask(n)
-    x_n = paths.states[:, n]
-    g_term = _g_term(coeffs, float(grid.times[n + 1]), paths.states[:, n + 1],
-                     y_next, z_next, dW_n, live)
-    base = y_next.copy()
-    base[live] += g_term[live]
-
+    rows = np.flatnonzero(live)
     residuals = np.zeros(picard_iterations)
     if picard_iterations == 0:
-        y_fn = project(partition, x_n, base)
+        y_fn = fit_cells(partition, cells, base)
     else:
-        y_prev = np.zeros_like(y_next)
-        prev_coeffs = np.zeros((partition.total_cells, coeffs.k))
-        t_n = float(grid.times[n])
+        x_live, z_live, cells_live = paths.states[rows, n], z_n[rows], cells[rows]
+        t_n = float(paths.grid.times[n])
+        coef = np.zeros((partition.total_cells, coeffs.k))
+        hf = np.zeros_like(base)
         for it in range(picard_iterations):
-            tgt = base.copy()
-            if live.any():
-                fv = coeffs.eval_f(t_n, x_n[live], y_prev[live], z_n[live])
-                tgt[live] += grid.h * fv
-            y_fn = project(partition, x_n, tgt)
-            residuals[it] = float(np.max(np.abs(y_fn.coefficients - prev_coeffs)))
-            prev_coeffs = y_fn.coefficients
-            y_prev = y_fn.evaluate(x_n)
-    realized = y_next.copy()
-    if live.any():
-        realized[live] = y_fn.evaluate(x_n[live])
+            if rows.size:
+                fv = coeffs.eval_f(t_n, x_live, gather(coef, cells_live), z_live)
+                hf[rows] = paths.grid.h * fv
+            y_fn = fit_cells(partition, cells, base + hf)
+            residuals[it] = float(np.max(np.abs(y_fn.coefficients - coef)))
+            coef = y_fn.coefficients
+    realized = np.where(live[:, None], gather(y_fn.coefficients, cells), base)
     return y_fn, realized, residuals
 
 
@@ -286,42 +242,46 @@ def backward_induction(
     y_values[N] = term
     y_funcs: list = [None] * (N + 1)
     z_funcs: list = [None] * N
-    empty_y = np.zeros(N + 1, dtype=np.int64)
-    empty_z = np.zeros(N, dtype=np.int64)
     residuals = np.zeros((N, I))
-
     y_funcs[N] = project(partition, paths.states[:, N], term)
-    empty_y[N] = y_funcs[N].empty_cells
 
-    z_next: Optional[CellFunction] = None
+    # cell ids of the time-n states, computed once per step; the ids of
+    # step n+1 are kept one step longer to read z_{n+1} at X_{n+1}
+    cells_next: Optional[Array] = None
     for n in range(N - 1, -1, -1):
+        live = paths.live_mask(n)
+        cells = partition.cell_index(paths.states[:, n])
         try:
-            z_fn, z_real = z_step(n, paths, y_values[n + 1], z_next,
-                                  noise.forward[:, n], noise.backward[n],
-                                  run_coeffs, partition)
-            y_fn, y_real, res = y_step(n, paths, y_values[n + 1], z_real, z_next,
-                                       noise.backward[n], run_coeffs, partition, I)
+            # base = y_{n+1} + g(t_{n+1}, X_{n+1}, y_{n+1}, z_{n+1}(X_{n+1})) dW_n
+            # on live paths, shared by the z- and the y-regression
+            base = y_values[n + 1].copy()
+            rows = np.flatnonzero(live)
+            if run_coeffs.g is not None and rows.size:
+                z_next = (np.zeros((rows.size, k, d)) if n == N - 1
+                          else gather(z_funcs[n + 1].coefficients, cells_next[rows]))
+                gv = run_coeffs.eval_g(float(grid.times[n + 1]), paths.states[rows, n + 1],
+                                       y_values[n + 1][rows], z_next)
+                base[rows] += gv @ noise.backward[n]
+            z_funcs[n], z_values[n] = z_step(n, paths, cells, base,
+                                             noise.forward[:, n], partition)
+            y_funcs[n], y_values[n], residuals[n] = y_step(
+                n, paths, cells, base, z_values[n], run_coeffs, partition, I)
         except BdsdeError as err:
             raise type(err)(f"backward step n={n}: {err}") from err
-        z_funcs[n] = z_fn
-        z_values[n] = z_real
-        y_funcs[n] = y_fn
-        y_values[n] = y_real
-        empty_z[n] = z_fn.empty_cells
-        empty_y[n] = y_fn.empty_cells
-        residuals[n] = res
-        z_next = z_fn
+        cells_next = cells
 
-    x0 = paths.states[:1, 0]
-    Y0 = y_funcs[0].evaluate(x0)[0]
-    Z0 = z_funcs[0].evaluate(x0)[0]
+    # row 0 of the time-0 states is the start point x0
+    Y0 = gather(y_funcs[0].coefficients, cells[:1])[0]
+    Z0 = gather(z_funcs[0].coefficients, cells[:1])[0]
 
-    for a in (y_values, z_values, empty_y, empty_z, residuals):
+    # empty_cells_y, empty_cells_z, out_of_range_y, out_of_range_z
+    per_step = [np.array([getattr(fn, attr) for fn in funcs])
+                for attr in ("empty_cells", "out_of_range_samples")
+                for funcs in (y_funcs, z_funcs)]
+    for a in (y_values, z_values, residuals, *per_step):
         a.setflags(write=False)
     diagnostics = SolverDiagnostics(
-        empty_cells_y=empty_y,
-        empty_cells_z=empty_z,
-        picard_residuals=residuals,
+        *per_step, picard_residuals=residuals,
         exit_fraction=float(paths.exit_detected.mean()),
     )
     return BackwardSolution(

@@ -114,6 +114,29 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 2
 
 
+def test_seed_out_of_range_exits_2(tmp_path, capsys):
+    cfg = small_config(tmp_path, seed=2 ** 64)
+    assert main(["run", "--config", cfg]) == 2
+    assert "seed" in capsys.readouterr().err
+    cfg = small_config(tmp_path)
+    assert main(["run", "--config", cfg, "--seed", str(2 ** 64)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_seed_plus_repetitions_overflow_exits_2(tmp_path, capsys):
+    cfg = small_config(tmp_path, N=4, seed=2 ** 64 - 1)
+    assert main(["table", "--config", cfg, "--reps", "2"]) == 2
+    assert "2**64" in capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--reps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "2**64" in captured.err and captured.out == ""
+    assert main(["spde-grid", "--config", cfg, "--reps", "2"]) == 2
+    assert "2**64" in capsys.readouterr().err
+    # one repetition at the largest seed is fine
+    last = small_config(tmp_path, N=2, M=16, seed=2 ** 64 - 1, spatial_points=1)
+    assert main(["spde-grid", "--config", last]) == 0
+
+
 def test_runtime_errors_exit_3(tmp_path, capsys):
     # start inside the exit-shift collar passes config checks, fails at solve
     cfg = small_config(tmp_path, x0=60.5)

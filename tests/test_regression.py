@@ -1,10 +1,13 @@
 """Partition geometry, cell-mean projection and its normal-equations oracle."""
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from bdsde import EvaluationError, InvalidParameterError
-from bdsde.regression import build_partition, lsq_oracle, project
+from bdsde.regression import build_partition, fit_cells, gather, lsq_oracle, project
 
 
 # ------------------------------- partition --------------------------------- #
@@ -181,5 +184,58 @@ def test_project_agrees_with_oracle_on_random_instances():
         if not mask.any():
             mask[0] = True
         fn = project(p, xs, vs, mask=mask)
+        oracle = lsq_oracle(p, xs, vs, mask=mask)
+        assert np.max(np.abs(fn.coefficients - oracle)) < 1e-10
+
+
+# ------------------------- id-based fit properties ------------------------- #
+
+def column_fit(cells, flat, mask, total):
+    """Column-by-column cell means: the per-column bincount loop that the
+    single flat-offset bincount in fit_cells must reproduce bitwise."""
+    use = mask & (cells >= 0)
+    counts = np.bincount(cells[use], minlength=total)
+    occupied = counts > 0
+    coeffs = np.zeros((total, flat.shape[1]))
+    for col in range(flat.shape[1]):
+        sums = np.bincount(cells[use], weights=flat[use, col], minlength=total)
+        coeffs[occupied, col] = sums[occupied] / counts[occupied]
+    return coeffs, int(total - occupied.sum()), int((mask & (cells < 0)).sum())
+
+
+@st.composite
+def fit_problems(draw):
+    d = draw(st.integers(1, 2))
+    L = draw(st.integers(1, 5))
+    M = draw(st.integers(1, 60))
+    vshape = draw(st.sampled_from([(1,), (3,), (2, 2), (1, 3)]))
+    coord = st.floats(-0.5, L + 0.5, allow_nan=False)
+    xs = draw(hnp.arrays(np.float64, (M, d), elements=coord))
+    vs = draw(hnp.arrays(np.float64, (M,) + vshape,
+                         elements=st.floats(-10.0, 10.0, allow_nan=False)))
+    mask = draw(hnp.arrays(np.bool_, (M,)))
+    probes = draw(hnp.arrays(np.float64, (draw(st.integers(0, 20)), d), elements=coord))
+    return build_partition(np.zeros(d), np.full(d, float(L)), 1.0), xs, vs, mask, probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(fit_problems())
+def test_project_is_the_id_based_fit(problem):
+    p, xs, vs, mask, probes = problem
+    cells = p.cell_index(xs)
+    fn = project(p, xs, vs, mask=mask)
+    coeffs, empty, out = column_fit(cells, vs.reshape(len(xs), -1), mask, p.total_cells)
+    assert np.array_equal(fn.coefficients.reshape(p.total_cells, -1), coeffs)
+    assert fn.coefficients.shape == (p.total_cells,) + vs.shape[1:]
+    assert (fn.empty_cells, fn.out_of_range_samples) == (empty, out)
+    same = fit_cells(p, cells, vs, mask)
+    assert np.array_equal(same.coefficients, fn.coefficients)
+    # evaluation is the gather at the probes' ids, zero outside [d1, d2)
+    ids = p.cell_index(probes)
+    expected = np.where((ids >= 0).reshape((-1,) + (1,) * len(fn.value_shape)),
+                        fn.coefficients[np.maximum(ids, 0)], 0.0)
+    assert np.array_equal(fn.evaluate(probes), expected)
+    assert np.array_equal(gather(fn.coefficients, ids), expected)
+    if mask.any():
         oracle = lsq_oracle(p, xs, vs, mask=mask)
         assert np.max(np.abs(fn.coefficients - oracle)) < 1e-10

@@ -1,11 +1,13 @@
 """Backward recursion: terminal handling, z/y steps, modes, error metric."""
 
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
 from bdsde import (
+    MODES,
     CoefficientSet,
     Domain,
     EvaluationError,
@@ -24,6 +26,7 @@ from bdsde import (
     y_step,
     z_step,
 )
+from bdsde.regression import project
 
 MU, VOL, RATE, RATE_HI, STRIKE = 0.05, 0.2, 0.01, 0.06, 115.0
 THETA = (MU - RATE) / VOL
@@ -127,10 +130,9 @@ def test_z_step_antithetic_increments_cancel():
     a = 0.37
     grid, ps = _two_path_set(a)
     part = build_partition([0.0], [1.0], 1.0)
-    c = trivial_coeffs()
     y_next = np.full((2, 1), 4.25)
-    z_fn, realized = z_step(0, ps, y_next, None, np.array([[a], [-a]]),
-                            np.zeros(1), c, part)
+    cells = part.cell_index(ps.states[:, 0])
+    z_fn, realized = z_step(0, ps, cells, y_next, np.array([[a], [-a]]), part)
     assert z_fn.coefficients[0, 0, 0] == 0.0   # exact cancellation
     assert (realized == 0.0).all()
 
@@ -147,11 +149,156 @@ def test_y_step_zero_iterations_skips_driver():
                        sigma=lambda x: np.ones(x.shape + (1,)),
                        f=poisoned, phi=lambda t, x: x)
     y_next = np.array([[2.0], [6.0]])
-    y_fn, realized, res = y_step(0, ps, y_next, np.zeros((2, 1, 1)), None,
-                                 np.zeros(1), c, part, 0)
+    cells = part.cell_index(ps.states[:, 0])
+    y_fn, realized, res = y_step(0, ps, cells, y_next, np.zeros((2, 1, 1)),
+                                 c, part, 0)
     assert y_fn.coefficients[0, 0] == pytest.approx(4.0)
     assert res.shape == (0,)
     assert realized[:, 0] == pytest.approx([4.0, 4.0])
+
+
+# --------------------- single-pass step vs per-step reference --------------- #
+
+def reference_backward(coeffs, grid, paths, noise, partition, mode, I):
+    """The per-step algorithm that backward_induction must reproduce bitwise.
+
+    Every fit is a project() at the time-n states, every read an evaluate(),
+    and the g-term is computed twice per step: once for the z-target and
+    once for the y-target.
+    """
+    if mode == "bsde":
+        coeffs = dataclasses.replace(coeffs, g=None)
+    N, M, k, d = grid.N, paths.M, coeffs.k, coeffs.d
+    states = paths.states
+    y_values = np.empty((N + 1, M, k))
+    z_values = np.zeros((N + 1, M, k, d))
+    y_values[N] = terminal_values(paths, coeffs)
+    empty_y = [project(partition, states[:, N], y_values[N]).empty_cells]
+    empty_z = []
+    residuals = np.zeros((N, I))
+
+    def g_term(n, live, z_next):
+        out = np.zeros((M, k))
+        if coeffs.g is None or not live.any():
+            return out
+        xs = states[live, n + 1]
+        zv = np.zeros((xs.shape[0], k, d)) if z_next is None else z_next.evaluate(xs)
+        gv = coeffs.eval_g(float(grid.times[n + 1]), xs, y_values[n + 1][live], zv)
+        out[live] = gv @ noise.backward[n]
+        return out
+
+    z_next = None
+    for n in range(N - 1, -1, -1):
+        live = paths.live_mask(n)
+        x_n = states[:, n]
+        y_next = y_values[n + 1]
+        g_z = g_term(n, live, z_next)
+        targets = np.zeros((M, k, d))
+        targets[live] = ((y_next[live] + g_z[live])[:, :, None]
+                         * noise.forward[:, n][live, None, :] / grid.h)
+        z_fn = project(partition, x_n, targets, mask=live)
+        if live.any():
+            z_values[n][live] = z_fn.evaluate(x_n[live])
+        base = y_next.copy()
+        base[live] += g_term(n, live, z_next)[live]
+        if I == 0:
+            y_fn = project(partition, x_n, base)
+        else:
+            y_prev = np.zeros((M, k))
+            prev = np.zeros((partition.total_cells, k))
+            for it in range(I):
+                tgt = base.copy()
+                if live.any():
+                    tgt[live] += grid.h * coeffs.eval_f(
+                        float(grid.times[n]), x_n[live], y_prev[live], z_values[n][live])
+                y_fn = project(partition, x_n, tgt)
+                residuals[n, it] = np.max(np.abs(y_fn.coefficients - prev))
+                prev = y_fn.coefficients
+                y_prev = y_fn.evaluate(x_n)
+        y_values[n] = y_next
+        if live.any():
+            y_values[n][live] = y_fn.evaluate(x_n[live])
+        empty_y.append(y_fn.empty_cells)
+        empty_z.append(z_fn.empty_cells)
+        z_next = z_fn
+    x0 = states[:1, 0]
+    return dict(Y0=y_fn.evaluate(x0)[0], Z0=z_fn.evaluate(x0)[0],
+                y_values=y_values, z_values=z_values, residuals=residuals,
+                empty_y=np.array(empty_y[::-1]), empty_z=np.array(empty_z[::-1]))
+
+
+def two_asset_coeffs():
+    """d=2, k=2, l=2: every fit has k*d = 4 or k = 2 target columns."""
+    return CoefficientSet(
+        d=2, k=2, l=2,
+        b=lambda x: MU * x,
+        sigma=lambda x: VOL * x[..., :, None] * np.eye(2),
+        f=lambda t, x, y, z: -RATE * y + 0.05 * z.sum(axis=-1) - 0.02 * y[:, ::-1],
+        phi=lambda t, x: np.stack([STRIKE - x[..., 0], x[..., 1] - 95.0], axis=-1),
+        g=lambda t, x, y, z: np.stack(
+            [0.5 * y + 0.1 * z[:, :, 0], 0.05 * np.log(x) + 0.1 * z[:, :, 1]], axis=-1),
+    )
+
+
+def assert_matches_reference(coeffs, grid, domain, noise, x0, partition, mode, I):
+    sim_domain = domain if mode == "bdsde-random-terminal" else Domain.whole_space(coeffs.d)
+    paths = simulate_stopped(coeffs, grid, sim_domain, noise, x0)
+    sol = backward_induction(coeffs, grid, paths, noise, partition,
+                             SolverConfig(mode=mode, picard_iterations=I))
+    ref = reference_backward(coeffs, grid, paths, noise, partition, mode, I)
+    assert np.array_equal(sol.Y0, ref["Y0"])
+    assert np.array_equal(sol.Z0, ref["Z0"])
+    assert np.array_equal(sol.y_values, ref["y_values"])
+    assert np.array_equal(sol.z_values, ref["z_values"])
+    assert np.array_equal(sol.diagnostics.picard_residuals, ref["residuals"])
+    assert np.array_equal(sol.diagnostics.empty_cells_y, ref["empty_y"])
+    assert np.array_equal(sol.diagnostics.empty_cells_z, ref["empty_z"])
+    return paths
+
+
+@pytest.mark.parametrize("I", [0, 3])
+@pytest.mark.parametrize("bounds", [(60.0, 200.0), (90.0, 110.0)])
+@pytest.mark.parametrize("mode", MODES)
+def test_single_pass_matches_per_step_reference_bitwise(mode, bounds, I):
+    g = build_grid(0.25, 20)
+    nb = sample_noise(2024, 4096, g, 1, 1)
+    lo, hi = bounds
+    paths = assert_matches_reference(
+        reference_coeffs(g=g_linear), g, Domain.box([lo], [hi]), nb, [100.0],
+        build_partition([lo], [hi], 1.0), mode, I)
+    if mode == "bdsde-random-terminal" and lo == 90.0:
+        assert paths.exit_detected.mean() > 0.3
+
+
+def test_single_pass_matches_reference_with_matrix_targets():
+    g = build_grid(0.25, 10)
+    nb = sample_noise(77, 2048, g, 2, 2)
+    dom = Domain.box([90.0, 90.0], [110.0, 110.0])
+    paths = assert_matches_reference(
+        two_asset_coeffs(), g, dom, nb, [100.0, 100.0],
+        build_partition([90.0, 90.0], [110.0, 110.0], 2.0),
+        "bdsde-random-terminal", 3)
+    assert paths.exit_detected.any()
+
+
+def test_out_of_range_counts_reported_per_step():
+    g = build_grid(0.25, 20)
+    nb = sample_noise(42, 4096, g, 1, 1)
+    dom = Domain.box([90.0], [110.0])
+    # the domain itself, then a basis narrower than the domain so that live
+    # paths fall outside it too
+    for lo, hi in ((90.0, 110.0), (95.0, 105.0)):
+        part = build_partition([lo], [hi], 1.0)
+        sol = solve(reference_coeffs(g=g_linear), g, dom, nb, [100.0], part,
+                    SolverConfig(mode="bdsde-random-terminal"))
+        diag = sol.diagnostics
+        outside = np.stack([part.cell_index(sol.paths.states[:, n]) < 0
+                            for n in range(21)])
+        live = np.stack([sol.paths.live_mask(n) for n in range(20)])
+        assert np.array_equal(diag.out_of_range_y, outside.sum(axis=1))
+        assert np.array_equal(diag.out_of_range_z, (live & outside[:20]).sum(axis=1))
+        assert diag.out_of_range_y.sum() > 0
+    assert diag.out_of_range_z.sum() > 0
 
 
 # ------------------------------ whole recursion ---------------------------- #
