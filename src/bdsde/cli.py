@@ -3,19 +3,17 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .experiments import (
     ExperimentConfig,
-    _format_cell,
     build_problem,
     derived_seeds,
+    dump_diagnostics,
     emit_csv,
     load_config,
     repeat_runs,
@@ -24,7 +22,7 @@ from .experiments import (
 )
 from .model import BdsdeError, ConfigError, InvalidStartError, sample_noise
 from .oracles import midpoint_lattice, spde_point
-from .solver import dump_diagnostics, solve
+from .solver import solve
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reps", type=int, default=None, help=reps_help)
         p.add_argument("--out", default=None,
                        help="output path (default: config 'out', else stdout)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; affects speed only, never results")
 
     p_run = sub.add_parser("run", help="single solve, print Y0/Z0 and diagnostics")
     common(p_run, "if given, also report mean/std over this many repetitions")
@@ -54,17 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser("spde-grid",
                             help="export u and v on the time grid x midpoint lattice")
     common(p_grid, "average the field over this many noise realizations")
+    for p in (p_run, p_table, p_conv):
+        p.add_argument("--threads", type=int, default=1,
+                       help="repetition worker threads; affects speed only, "
+                       "never results")
     return parser
-
-
-def _emit(rows: Sequence[Sequence], out: Optional[str]) -> None:
-    if out is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow([str(cell) for cell in rows[0]])
-        for row in rows[1:]:
-            writer.writerow([_format_cell(cell) for cell in row])
-    else:
-        emit_csv(rows, out)
 
 
 # ------------------------------- subcommands ------------------------------- #
@@ -85,6 +75,8 @@ def _cmd_run(config: ExperimentConfig, out: Optional[str], args) -> int:
     print(f"exit_fraction = {diag.exit_fraction:.10g}")
     print(f"empty_cells_y = {int(diag.empty_cells_y.sum())}, "
           f"empty_cells_z = {int(diag.empty_cells_z.sum())}")
+    print(f"out_of_range_y = {int(diag.out_of_range_y.sum())}, "
+          f"out_of_range_z = {int(diag.out_of_range_z.sum())}")
     if diag.picard_residuals.size:
         print("max_picard_residual_by_sweep = " + " ".join(
             f"{v:.3g}" for v in diag.picard_residuals.max(axis=0)))
@@ -100,7 +92,7 @@ def _cmd_run(config: ExperimentConfig, out: Optional[str], args) -> int:
 
 def _cmd_table(config: ExperimentConfig, out: Optional[str], args) -> int:
     rows = run_table(config, args.reps, threads=args.threads)
-    _emit(rows, out)
+    emit_csv(rows, out)
     return 0
 
 
@@ -108,7 +100,7 @@ def _cmd_converge(config: ExperimentConfig, out: Optional[str], args) -> int:
     if args.reps is not None:
         config = dataclasses.replace(config, R_runs=args.reps)
     rows = run_convergence(config, threads=args.threads)
-    _emit(rows, out)
+    emit_csv(rows, out)
     return 0
 
 
@@ -119,38 +111,27 @@ def _cmd_spde_grid(config: ExperimentConfig, out: Optional[str], args) -> int:
     P = points.shape[0]
     acc_u = np.zeros((grid.N + 1, P))
     acc_v = np.zeros((grid.N + 1, P))
-    tasks = [(n, p) for n in range(grid.N + 1) for p in range(P)]
     for seed in derived_seeds(config, reps):
         wpath = sample_noise(seed, 1, grid, coeffs.d, coeffs.l).backward
-
-        def one(task: Tuple[int, int]) -> Tuple[float, float]:
-            n, p = task
-            try:
-                u, v = spde_point(coeffs, grid, domain, wpath,
-                                  float(grid.times[n]), points[p], config.M,
-                                  partition, scfg, seed=seed,
-                                  shift_enabled=config.shift_enabled)
-            except InvalidStartError:
-                # inside the exit-shift collar the stopped scheme exits
-                # immediately, so the field takes the boundary payoff
-                u = coeffs.eval_phi(float(grid.times[n]), points[p][None, :])[0]
-                return float(u[0]), 0.0
-            return float(u[0]), float(v[0, 0])
-
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                results = list(pool.map(one, tasks))
-        else:
-            results = [one(task) for task in tasks]
-        for (n, p), (u, v) in zip(tasks, results):
-            acc_u[n, p] += u
-            acc_v[n, p] += v
+        for n, t_n in enumerate(grid.times):
+            for p in range(P):
+                try:
+                    u, v = spde_point(coeffs, grid, domain, wpath, float(t_n),
+                                      points[p], config.M, partition, scfg,
+                                      seed=seed, shift_enabled=config.shift_enabled)
+                except InvalidStartError:
+                    # inside the exit-shift collar the stopped scheme exits
+                    # immediately, so the field takes the boundary payoff
+                    u = coeffs.eval_phi(float(t_n), points[p][None, :])[0]
+                    v = np.zeros((coeffs.k, coeffs.d))
+                acc_u[n, p] += float(u[0])
+                acc_v[n, p] += float(v[0, 0])
     rows: List[Tuple] = [("t", "x", "u", "v")]
     for n in range(grid.N + 1):
         for p in range(P):
             rows.append((float(grid.times[n]), float(points[p, 0]),
                          acc_u[n, p] / reps, acc_v[n, p] / reps))
-    _emit(rows, out)
+    emit_csv(rows, out)
     return 0
 
 
@@ -165,7 +146,7 @@ _DISPATCH = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
+    if getattr(args, "threads", 1) < 1:
         parser.error(f"--threads must be positive, got {args.threads}")
     if args.reps is not None:
         floor = 1 if args.command == "spde-grid" else 2

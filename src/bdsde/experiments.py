@@ -9,10 +9,12 @@ over derived seeds, and emitting deterministic CSV summaries.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -29,7 +31,7 @@ from .model import (
     sample_noise,
 )
 from .regression import HypercubePartition, build_partition
-from .solver import MODES, SolverConfig, solve
+from .solver import MODES, BackwardSolution, SolverConfig, solve
 
 __all__ = [
     "ExperimentConfig",
@@ -37,6 +39,7 @@ __all__ = [
     "RunStats",
     "TABLE_M_GRID",
     "build_problem",
+    "dump_diagnostics",
     "emit_csv",
     "load_config",
     "make_driver",
@@ -468,16 +471,32 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def emit_csv(rows: Sequence[Sequence], path: str) -> None:
-    """Write header-first rows as CSV: '.' decimals, 10 significant digits."""
+def emit_csv(rows: Sequence[Sequence], path: Optional[str] = None) -> None:
+    """Write header-first rows as CSV: '.' decimals, 10 significant digits.
+
+    ``path=None`` writes to stdout; a file that cannot be written is a
+    ConfigError.
+    """
     rows = list(rows)
     if not rows:
         raise InvalidParameterError("rows must start with a header row")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with (contextlib.nullcontext(sys.stdout) if path is None
+              else open(path, "w", encoding="utf-8", newline="")) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow([str(cell) for cell in rows[0]])
             for row in rows[1:]:
                 writer.writerow([_format_cell(cell) for cell in row])
     except OSError as err:
+        if path is None:
+            raise
         raise ConfigError(f"cannot write {path}: {err}") from err
+
+
+def dump_diagnostics(solution: BackwardSolution, path: str) -> None:
+    """Per-step Picard residuals and y-fit empty-cell counts as CSV."""
+    res = solution.diagnostics.picard_residuals
+    empty = solution.diagnostics.empty_cells_y
+    emit_csv([("n", "picard_iter", "residual", "empty_cells")]
+             + [(n, it + 1, float(res[n, it]), empty[n])
+                for n in range(res.shape[0]) for it in range(res.shape[1])], path)

@@ -19,7 +19,7 @@ shrunken domain restores first-order accuracy of exit-time functionals.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, IO, Union
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "euler_step",
     "shift_width",
     "simulate_stopped",
-    "dump_paths",
 ]
 
 # Boundary-shift constant for discrete exit-time correction.  The value is
@@ -115,7 +114,7 @@ def shift_width(
     if h <= 0.0:
         raise InvalidParameterError(f"step must be positive, got h={h}")
     x = np.asarray(x, dtype=np.float64)
-    if domain.kind == "whole-space":
+    if domain.is_whole_space:
         return np.zeros(x.shape[0])
     n = domain.inward_normal(x)
     s = _checked("sigma", sigma(x), x.shape[:-1] + (x.shape[-1],) * 2, x)
@@ -123,28 +122,14 @@ def shift_width(
     return C0 * np.sqrt(h) * np.linalg.norm(row, axis=-1)
 
 
-def euler_step(
-    x: Array,
-    b: Callable[[Array], Array],
-    sigma: Callable[[Array], Array],
-    h: float,
-    dB: Array,
-) -> Array:
-    """One explicit Euler update x + b(x) h + sigma(x) dB.
+def euler_step(coeffs: CoefficientSet, x: Array, h: float, dB: Array) -> Array:
+    """One explicit Euler update x + b(x) h + sigma(x) dB of (M, d) states.
 
-    x and dB are (M, d); coefficient outputs are shape- and finiteness-
-    checked, with failures reported against the offending coefficient.
+    Coefficient outputs are shape- and finiteness-checked, with failures
+    reported against the offending coefficient.
     """
-    x = np.asarray(x, dtype=np.float64)
-    dB = np.asarray(dB, dtype=np.float64)
-    if x.shape != dB.shape:
-        raise InvalidParameterError(
-            f"state and increment shapes differ: {x.shape} vs {dB.shape}"
-        )
-    d = x.shape[-1]
-    bv = _checked("b", b(x), x.shape, x)
-    sv = _checked("sigma", sigma(x), x.shape[:-1] + (d, d), x)
-    return x + bv * h + np.einsum("mij,mj->mi", sv, dB)
+    return x + coeffs.eval_b(x) * h + np.einsum("mij,mj->mi",
+                                                coeffs.eval_sigma(x), dB)
 
 
 # ------------------------------ simulation --------------------------------- #
@@ -162,7 +147,7 @@ def _inside_shifted(
     is negative outside the box, so a single strict comparison covers both
     "left the box" and "entered the shift collar".
     """
-    if domain.kind == "whole-space":
+    if domain.is_whole_space:
         return np.ones(x.shape[0], dtype=bool)
     width = shift_width(domain, x, sigma, h) if shift_enabled else 0.0
     return domain.boundary_distance(x) > width
@@ -198,7 +183,7 @@ def simulate_stopped(
     x0row = x0[None, :]
     if not domain.contains(x0row)[0]:
         raise InvalidStartError(f"start point {x0} lies outside the open domain")
-    if shift_enabled and domain.kind != "whole-space":
+    if shift_enabled and not domain.is_whole_space:
         w0 = shift_width(domain, x0row, coeffs.sigma, grid.h)[0]
         if not domain.boundary_distance(x0row)[0] > w0:
             raise InvalidStartError(
@@ -212,17 +197,14 @@ def simulate_stopped(
     exit_index = np.full(M, N, dtype=np.int64)
     exit_detected = np.zeros(M, dtype=bool)
     alive = np.ones(M, dtype=bool)
-    test_exits = domain.kind != "whole-space"
+    test_exits = not domain.is_whole_space
 
     for i in range(N):
         idx = np.nonzero(alive)[0]
         frozen = np.nonzero(~alive)[0]
         if idx.size:
-            xi = states[idx, i]
-            bv = coeffs.eval_b(xi)
-            sv = coeffs.eval_sigma(xi)
-            dB = noise.forward[idx, i]
-            states[idx, i + 1] = xi + bv * grid.h + np.einsum("mij,mj->mi", sv, dB)
+            states[idx, i + 1] = euler_step(coeffs, states[idx, i], grid.h,
+                                            noise.forward[idx, i])
         if frozen.size:
             states[frozen, i + 1] = states[frozen, i]
         if test_exits and idx.size:
@@ -245,31 +227,3 @@ def simulate_stopped(
         exit_detected=exit_detected,
         shift_enabled=shift_enabled,
     )
-
-
-# ------------------------------ diagnostics -------------------------------- #
-
-def dump_paths(paths: PathSet, out: Union[str, IO[str]]) -> None:
-    """Write every (path, step) state row as CSV for offline inspection.
-
-    Header is m,i,t,x_1..x_d,exited; the exited flag marks rows at or past
-    a detected exit, so a path that merely survives to maturity stays 0.
-    """
-    d = paths.states.shape[-1]
-    header = "m,i,t," + ",".join(f"x_{j + 1}" for j in range(d)) + ",exited"
-
-    def _write(fh: IO[str]) -> None:
-        fh.write(header + "\n")
-        times = paths.grid.times
-        for m in range(paths.M):
-            stop = paths.exit_index[m] if paths.exit_detected[m] else paths.grid.N + 1
-            for i in range(paths.grid.N + 1):
-                coords = ",".join("%.10g" % v for v in paths.states[m, i])
-                flag = 1 if i >= stop else 0
-                fh.write(f"{m},{i},{'%.10g' % times[i]},{coords},{flag}\n")
-
-    if isinstance(out, str):
-        with open(out, "w", newline="") as fh:
-            _write(fh)
-    else:
-        _write(out)

@@ -18,7 +18,7 @@ and of thread scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,28 +76,12 @@ class TimeGrid:
     h: float
     times: np.ndarray
 
-    def floor_time(self, s: float) -> float:
-        """Largest grid time t_i <= s.  Raises for s outside [0, T]."""
-        self._check_range(s)
-        i = int(np.searchsorted(self.times, s, side="right")) - 1
-        return float(self.times[max(i, 0)])
-
-    def ceil_time(self, s: float) -> float:
-        """Smallest grid time t_i >= s.  Raises for s outside [0, T]."""
-        self._check_range(s)
-        i = int(np.searchsorted(self.times, s, side="left"))
-        return float(self.times[min(i, self.N)])
-
     def index_of(self, t: float) -> int:
         """Index i with times[i] == t up to 1e-9*h, else an error."""
         i = int(np.clip(np.round(t / self.h), 0, self.N))
         if abs(self.times[i] - t) > 1e-9 * self.h:
             raise InvalidParameterError(f"t={t!r} is not a grid time")
         return i
-
-    def _check_range(self, s: float) -> None:
-        if not (0.0 <= s <= self.T):
-            raise InvalidParameterError(f"s={s!r} outside [0, {self.T}]")
 
 
 def build_grid(T: float, N: int) -> TimeGrid:
@@ -218,8 +202,7 @@ class CoefficientSet:
     """Problem data (b, sigma, f, g, phi) with dimension metadata.
 
     ``g=None`` means the external-noise coefficient is absent (plain backward
-    equation).  ``metadata`` may record documented Lipschitz/monotonicity
-    constants; it is informational only and never enforced.
+    equation).
     """
 
     d: int
@@ -230,7 +213,6 @@ class CoefficientSet:
     f: Driver
     phi: Driver
     g: Optional[Driver] = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name, v in (("d", self.d), ("k", self.k), ("l", self.l)):
@@ -263,10 +245,10 @@ def _checked(name: str, out, shape: tuple, x: np.ndarray) -> np.ndarray:
     if out.shape != shape:
         raise EvaluationError(f"coefficient {name} returned shape {out.shape}, expected {shape}")
     if not np.isfinite(out).all():
-        bad = np.argwhere(~np.isfinite(out))[0]
+        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(out))[0])
         where = np.asarray(x, dtype=np.float64).reshape(-1, x.shape[-1])
-        sample = where[min(int(bad[0]), where.shape[0] - 1)] if where.size else None
-        raise EvaluationError(f"coefficient {name} returned a non-finite value at index {tuple(bad)} (x={sample})")
+        sample = where[min(bad[0], where.shape[0] - 1)] if where.size else None
+        raise EvaluationError(f"coefficient {name} returned a non-finite value at index {bad} (x={sample})")
     return out
 
 
@@ -297,9 +279,8 @@ def _gaussian_words(seed: int, stream: int, start: int, count: int) -> np.ndarra
 class NoiseBundle:
     """Brownian increments for one run: forward (M, N, d), backward (N, l).
 
-    Every coordinate is N(0, h).  ``forward_increment``/``backward_increment``
-    regenerate single entries from scratch and match the stored arrays
-    bit-exactly (counter-based layout; see module docstring).
+    Every coordinate is N(0, h), and any single entry can be regenerated
+    bit-exactly from its own Philox words (see module docstring).
     """
 
     seed: int
@@ -309,24 +290,6 @@ class NoiseBundle:
     l: int
     forward: np.ndarray
     backward: np.ndarray
-    backward_injected: bool = False
-
-    def forward_increment(self, m: int, i: int) -> np.ndarray:
-        """Regenerate dB[m, i] (shape (d,)) without touching the bundle."""
-        if not (0 <= m < self.M and 0 <= i < self.grid.N):
-            raise InvalidParameterError(f"increment index ({m}, {i}) out of range")
-        start = (m * self.grid.N + i) * self.d
-        z = _gaussian_words(self.seed, _FORWARD_STREAM, start, self.d)
-        return z * np.sqrt(self.grid.h)
-
-    def backward_increment(self, i: int) -> np.ndarray:
-        """Regenerate dW[i] (shape (l,)); stored row if the path was injected."""
-        if not 0 <= i < self.grid.N:
-            raise InvalidParameterError(f"increment index {i} out of range")
-        if self.backward_injected:
-            return self.backward[i].copy()
-        z = _gaussian_words(self.seed, _BACKWARD_STREAM, i * self.l, self.l)
-        return z * np.sqrt(self.grid.h)
 
     def with_backward(self, dW: np.ndarray) -> "NoiseBundle":
         """Copy of this bundle with the shared backward path replaced.
@@ -341,7 +304,7 @@ class NoiseBundle:
             raise InvalidParameterError("backward path contains non-finite entries")
         dW = dW.copy()
         dW.setflags(write=False)
-        return replace(self, backward=dW, backward_injected=True)
+        return replace(self, backward=dW)
 
 
 def sample_noise(seed: int, M: int, grid: TimeGrid, d: int, l: int) -> NoiseBundle:

@@ -103,13 +103,9 @@ class CellFunction:
     """
 
     partition: HypercubePartition
-    coefficients: Array          # (total_cells, *value_shape)
+    coefficients: Array          # (total_cells, *target shape)
     empty_cells: int = 0
     out_of_range_samples: int = 0
-
-    @property
-    def value_shape(self) -> tuple:
-        return self.coefficients.shape[1:]
 
     def evaluate(self, x: Array) -> Array:
         return gather(self.coefficients, self.partition.cell_index(x))

@@ -19,7 +19,7 @@ zero.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, IO, Optional, Sequence, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .model import (
     BdsdeError,
     CoefficientSet,
     Domain,
-    EvaluationError,
     InvalidParameterError,
     NoiseBundle,
     TimeGrid,
@@ -48,7 +47,6 @@ __all__ = [
     "backward_induction",
     "solve",
     "strong_error",
-    "dump_diagnostics",
 ]
 
 MODES = ("bsde", "bdsde-fixed-horizon", "bdsde-random-terminal")
@@ -108,28 +106,9 @@ class BackwardSolution:
 # ------------------------------ scheme pieces ------------------------------ #
 
 def terminal_values(paths: PathSet, coeffs: CoefficientSet) -> Array:
-    """Payoff at each path's stopping point, phi(exit_time, exit_state).
-
-    Exit times vary per path, so evaluation is grouped by exit index; a
-    non-finite payoff is reported with the offending path index.
-    """
-    out = np.empty((paths.M, coeffs.k))
-    states = paths.states
-    for e in np.unique(paths.exit_index):
-        sel = np.nonzero(paths.exit_index == e)[0]
-        vals = np.asarray(coeffs.phi(float(paths.grid.times[e]), states[sel, e]),
-                          dtype=np.float64)
-        if vals.shape != (sel.size, coeffs.k):
-            raise EvaluationError(
-                f"phi returned shape {vals.shape}, expected {(sel.size, coeffs.k)}"
-            )
-        bad = ~np.isfinite(vals).all(axis=1)
-        if bad.any():
-            raise EvaluationError(
-                f"non-finite terminal value at path {int(sel[bad][0])}"
-            )
-        out[sel] = vals
-    return out
+    """Payoff at each path's stopping point, phi(exit_time, exit_state),
+    in one call with the per-path exit times."""
+    return coeffs.eval_phi(paths.exit_time, paths.exit_state)
 
 
 def z_step(
@@ -347,23 +326,3 @@ def strong_error(
         dz = np.asarray(reference_z(t, x), dtype=np.float64) - solution.z_values[n][live]
         z_sum += grid.h * float(np.mean(np.sum(dz * dz, axis=(-2, -1))))
     return worst_y + z_sum
-
-
-# ------------------------------ diagnostics -------------------------------- #
-
-def dump_diagnostics(solution: BackwardSolution, out: Union[str, IO[str]]) -> None:
-    """Per-step Picard residuals and empty-cell counts as CSV."""
-    res = solution.diagnostics.picard_residuals
-    empty = solution.diagnostics.empty_cells_y
-
-    def _write(fh: IO[str]) -> None:
-        fh.write("n,picard_iter,residual,empty_cells\n")
-        for n in range(res.shape[0]):
-            for it in range(res.shape[1]):
-                fh.write(f"{n},{it + 1},{'%.10g' % res[n, it]},{empty[n]}\n")
-
-    if isinstance(out, str):
-        with open(out, "w", newline="") as fh:
-            _write(fh)
-    else:
-        _write(out)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from bdsde import build_problem, load_config, sample_noise, solve
 from bdsde.cli import main
 
 
@@ -25,6 +26,18 @@ def test_run_prints_solution(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Y0 = " in out and "Z0 = " in out
     assert "exit_fraction" in out and "empty_cells_y" in out
+    # the narrow box freezes exited paths outside the basis [90, 110); the
+    # printed totals are those of the solve's diagnostics
+    cfg = small_config(tmp_path, domain_lower=90.0, domain_upper=110.0)
+    config = load_config(cfg)
+    coeffs, grid, domain, partition, scfg = build_problem(config)
+    noise = sample_noise(config.seed, config.M, grid, coeffs.d, coeffs.l)
+    diag = solve(coeffs, grid, domain, noise, [config.x0], partition, scfg).diagnostics
+    assert diag.out_of_range_y.sum() > 0
+    assert main(["run", "--config", cfg]) == 0
+    assert (f"empty_cells_z = {diag.empty_cells_z.sum()}\n"
+            f"out_of_range_y = {diag.out_of_range_y.sum()}, "
+            f"out_of_range_z = {diag.out_of_range_z.sum()}\n") in capsys.readouterr().out
 
 
 def test_run_seed_override_changes_the_answer(tmp_path, capsys):
@@ -93,15 +106,6 @@ def test_spde_grid_export(tmp_path):
     assert float(u) == pytest.approx(115.0 - float(x))
 
 
-def test_spde_grid_thread_determinism(tmp_path):
-    cfg = small_config(tmp_path, N=4, M=64)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["spde-grid", "--config", cfg, "--out", str(a)]) == 0
-    assert main(["spde-grid", "--config", cfg, "--threads", "4",
-                 "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"mu": 0.05}')
@@ -112,6 +116,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
     cfg = small_config(tmp_path, delta=-1.0)
     assert main(["run", "--config", cfg]) == 2
+    missing = str(tmp_path / "no" / "such" / "d.csv")
+    assert main(["run", "--config", small_config(tmp_path), "--out", missing]) == 2
+    assert "config error: cannot write" in capsys.readouterr().err
 
 
 def test_seed_out_of_range_exits_2(tmp_path, capsys):
@@ -153,6 +160,10 @@ def test_usage_errors_exit_2(tmp_path):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", small_config(tmp_path), "--threads", "0"])
+    assert exc.value.code == 2
+    # the field lattice runs serially; spde-grid has no thread flag
+    with pytest.raises(SystemExit) as exc:
+        main(["spde-grid", "--config", small_config(tmp_path), "--threads", "2"])
     assert exc.value.code == 2
 
 

@@ -1,7 +1,6 @@
 """Stopped Euler simulation: step arithmetic, exit rules, boundary shift."""
 
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from bdsde import (
     EvaluationError,
     InvalidStartError,
     build_grid,
-    dump_paths,
     euler_step,
     sample_noise,
     shift_width,
@@ -53,27 +51,29 @@ def test_shift_width_degenerate_cases():
 # ------------------------------ euler step --------------------------------- #
 
 def test_euler_step_reference_value():
-    c = gbm_coeffs()
-    out = euler_step(np.array([[100.0]]), c.b, c.sigma, 0.0125, np.array([[0.1]]))
+    out = euler_step(gbm_coeffs(), np.array([[100.0]]), 0.0125, np.array([[0.1]]))
     assert out[0, 0] == pytest.approx(102.0625, rel=1e-14)
 
 
 def test_euler_step_degenerate_dynamics():
-    zero = lambda x: np.zeros_like(x)
-    zero_s = lambda x: np.zeros(x.shape + (x.shape[-1],))
+    still = CoefficientSet(
+        d=2, k=1, l=1,
+        b=lambda x: np.zeros_like(x),
+        sigma=lambda x: np.zeros(x.shape + (x.shape[-1],)),
+        f=lambda t, x, y, z: np.zeros_like(y),
+        phi=lambda t, x: x[:, :1],
+    )
     x = np.array([[3.0, -1.0]])
-    out = euler_step(x, zero, zero_s, 0.5, np.array([[9.0, 9.0]]))
+    out = euler_step(still, x, 0.5, np.array([[9.0, 9.0]]))
     assert np.array_equal(out, x)
-    c = gbm_coeffs()
-    drift = euler_step(np.array([[100.0]]), c.b, c.sigma, 0.0125, np.array([[0.0]]))
+    drift = euler_step(gbm_coeffs(), np.array([[100.0]]), 0.0125, np.array([[0.0]]))
     assert drift[0, 0] == pytest.approx(100.0625)
 
 
 def test_euler_step_reports_offending_coefficient():
-    bad = lambda x: np.full_like(x, np.nan)
-    c = gbm_coeffs()
-    with pytest.raises(EvaluationError, match="b"):
-        euler_step(np.array([[1.0]]), bad, c.sigma, 0.1, np.array([[0.0]]))
+    bad = dataclasses.replace(gbm_coeffs(), b=lambda x: np.full_like(x, np.nan))
+    with pytest.raises(EvaluationError, match="coefficient b"):
+        euler_step(bad, np.array([[1.0]]), 0.1, np.array([[0.0]]))
 
 
 # ------------------------------ simulation --------------------------------- #
@@ -173,18 +173,3 @@ def test_wide_box_exit_probability_is_small():
     nb = sample_noise(101, 32768, g, 1, 1)
     ps = simulate_stopped(gbm_coeffs(), g, Domain.box([60.0], [200.0]), nb, [100.0])
     assert ps.exit_detected.mean() < 0.01
-
-
-def test_dump_paths_format():
-    g = build_grid(0.5, 2)
-    nb = sample_noise(29, 3, g, 1, 1)
-    ps = simulate_stopped(gbm_coeffs(), g, Domain.whole_space(1), nb, [100.0])
-    buf = io.StringIO()
-    dump_paths(ps, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "m,i,t,x_1,exited"
-    assert len(lines) == 1 + 3 * 3
-    first = lines[1].split(",")
-    assert first[:3] == ["0", "0", "0"]
-    assert first[3] == "100"
-    assert first[4] == "0"

@@ -11,6 +11,7 @@ from bdsde import (
     build_grid,
     sample_noise,
 )
+from bdsde.model import _BACKWARD_STREAM, _FORWARD_STREAM, _gaussian_words
 
 
 # ------------------------------ time grid --------------------------------- #
@@ -38,35 +39,6 @@ def test_grid_rejects_bad_parameters():
         build_grid(-1.0, 10)
     with pytest.raises(InvalidParameterError):
         build_grid(1.0, 0)
-
-
-def test_floor_ceil_examples():
-    g = build_grid(0.25, 20)
-    assert g.floor_time(0.013) == g.times[1]
-    assert g.ceil_time(0.013) == g.times[2]
-    assert g.floor_time(0.25) == g.times[20]
-    assert g.ceil_time(0.0) == 0.0
-    # grid times are fixed points of both maps
-    for i in (0, 1, 7, 20):
-        assert g.floor_time(g.times[i]) == g.times[i]
-        assert g.ceil_time(g.times[i]) == g.times[i]
-
-
-def test_floor_ceil_range_errors():
-    g = build_grid(0.25, 20)
-    with pytest.raises(InvalidParameterError):
-        g.floor_time(-1e-9)
-    with pytest.raises(InvalidParameterError):
-        g.ceil_time(0.25 + 1e-9)
-
-
-def test_floor_ceil_composition_property():
-    g = build_grid(0.37, 13)
-    rng = np.random.default_rng(7)
-    for s in rng.uniform(0.0, g.T, size=200):
-        assert g.floor_time(g.ceil_time(s)) == g.ceil_time(s)
-        assert g.ceil_time(g.floor_time(s)) == g.floor_time(s)
-        assert g.floor_time(s) <= s <= g.ceil_time(s)
 
 
 def test_index_of():
@@ -157,7 +129,7 @@ def test_non_finite_evaluation_is_lazy_error():
         phi=lambda t, x: -x,
     )
     assert np.isfinite(c.eval_b(np.array([[2.0]]))).all()
-    with pytest.raises(EvaluationError, match="non-finite"):
+    with pytest.raises(EvaluationError, match=r"b returned a non-finite value at index \(1, 0\)"):
         c.eval_b(np.array([[2.0], [-1.0]]))
 
 
@@ -180,6 +152,19 @@ def test_noise_determinism_and_seed_sensitivity():
     assert not np.array_equal(a.backward, c.backward)
 
 
+def forward_increment(nb, m, i):
+    """dB[m, i] regenerated from its own words of the (m, i, coordinate)
+    layout on the forward stream."""
+    start = (m * nb.grid.N + i) * nb.d
+    return _gaussian_words(nb.seed, _FORWARD_STREAM, start, nb.d) * np.sqrt(nb.grid.h)
+
+
+def backward_increment(nb, i):
+    """dW[i] regenerated from its own words of the (i, coordinate) layout on
+    the backward stream."""
+    return _gaussian_words(nb.seed, _BACKWARD_STREAM, i * nb.l, nb.l) * np.sqrt(nb.grid.h)
+
+
 def test_noise_isolated_regeneration_bit_exact():
     g = build_grid(0.5, 8)
     nb = sample_noise(2024, 37, g, 3, 2)
@@ -187,9 +172,9 @@ def test_noise_isolated_regeneration_bit_exact():
     for _ in range(25):
         m = int(rng.integers(0, 37))
         i = int(rng.integers(0, 8))
-        assert np.array_equal(nb.forward_increment(m, i), nb.forward[m, i])
+        assert np.array_equal(forward_increment(nb, m, i), nb.forward[m, i])
     for i in range(8):
-        assert np.array_equal(nb.backward_increment(i), nb.backward[i])
+        assert np.array_equal(backward_increment(nb, i), nb.backward[i])
 
 
 def test_backward_path_independent_of_path_count():
@@ -226,7 +211,6 @@ def test_with_backward_injects_and_validates():
     w = np.full((4, 1), 0.5)
     nb2 = nb.with_backward(w)
     assert np.array_equal(nb2.backward, w)
-    assert np.array_equal(nb2.backward_increment(2), w[2])
     assert np.array_equal(nb2.forward, nb.forward)
     with pytest.raises(InvalidParameterError):
         nb.with_backward(np.zeros((3, 1)))

@@ -232,7 +232,7 @@ def test_project_is_the_id_based_fit(problem):
     assert np.array_equal(same.coefficients, fn.coefficients)
     # evaluation is the gather at the probes' ids, zero outside [d1, d2)
     ids = p.cell_index(probes)
-    expected = np.where((ids >= 0).reshape((-1,) + (1,) * len(fn.value_shape)),
+    expected = np.where((ids >= 0).reshape((-1,) + (1,) * (vs.ndim - 1)),
                         fn.coefficients[np.maximum(ids, 0)], 0.0)
     assert np.array_equal(fn.evaluate(probes), expected)
     assert np.array_equal(gather(fn.coefficients, ids), expected)

@@ -1,7 +1,6 @@
 """Backward recursion: terminal handling, z/y steps, modes, error metric."""
 
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -108,7 +107,7 @@ def test_terminal_values_reports_path_index():
         d=1, k=1, l=1, b=c.b, sigma=c.sigma, f=c.f,
         phi=lambda t, x: np.where(np.arange(x.shape[0])[:, None] == 2, np.nan, 1.0),
     )
-    with pytest.raises(EvaluationError, match="path 2"):
+    with pytest.raises(EvaluationError, match=r"phi .*index \(2, 0\)"):
         terminal_values(ps, bad)
 
 
@@ -438,15 +437,17 @@ def test_step_errors_carry_time_index():
         solve(c, g, Domain.whole_space(1), nb, [0.0], part, SolverConfig(mode="bsde"))
 
 
-def test_dump_diagnostics_format():
+def test_dump_diagnostics_format(tmp_path):
     g = build_grid(0.25, 2)
     nb = sample_noise(19, 16, g, 1, 1)
-    part = build_partition([-1e3], [1e3], 50.0)
-    sol = solve(trivial_coeffs(), g, Domain.whole_space(1), nb, [0.0], part,
-                SolverConfig(mode="bsde", picard_iterations=2))
-    buf = io.StringIO()
-    dump_diagnostics(sol, buf)
-    lines = buf.getvalue().splitlines()
+    part = build_partition([60.0], [200.0], 5.0)
+    sol = solve(reference_coeffs(), g, Domain.box([60.0], [200.0]), nb, [100.0],
+                part, SolverConfig(mode="bsde", picard_iterations=2))
+    out = tmp_path / "diag.csv"
+    dump_diagnostics(sol, str(out))
+    lines = out.read_text().splitlines()
     assert lines[0] == "n,picard_iter,residual,empty_cells"
-    assert len(lines) == 1 + 2 * 2
-    assert lines[1].startswith("0,1,")
+    res = sol.diagnostics.picard_residuals
+    empty = sol.diagnostics.empty_cells_y
+    assert lines[1:] == [f"{n},{it + 1},{res[n, it]:.10g},{empty[n]}"
+                         for n in range(2) for it in range(2)]
