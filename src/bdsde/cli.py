@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -20,7 +21,7 @@ from .experiments import (
     run_convergence,
     run_table,
 )
-from .model import BdsdeError, ConfigError, InvalidStartError, sample_noise
+from .model import BdsdeError, ConfigError, sample_noise
 from .oracles import midpoint_lattice, spde_point
 from .solver import solve
 
@@ -114,18 +115,11 @@ def _cmd_spde_grid(config: ExperimentConfig, out: Optional[str], args) -> int:
     for seed in derived_seeds(config, reps):
         wpath = sample_noise(seed, 1, grid, coeffs.d, coeffs.l).backward
         for n, t_n in enumerate(grid.times):
-            for p in range(P):
-                try:
-                    u, v = spde_point(coeffs, grid, domain, wpath, float(t_n),
-                                      points[p], config.M, partition, scfg,
-                                      seed=seed, shift_enabled=config.shift_enabled)
-                except InvalidStartError:
-                    # inside the exit-shift collar the stopped scheme exits
-                    # immediately, so the field takes the boundary payoff
-                    u = coeffs.eval_phi(float(t_n), points[p][None, :])[0]
-                    v = np.zeros((coeffs.k, coeffs.d))
-                acc_u[n, p] += float(u[0])
-                acc_v[n, p] += float(v[0, 0])
+            u, v = spde_point(coeffs, grid, domain, wpath, float(t_n), points,
+                              config.M, partition, scfg, seed=seed,
+                              shift_enabled=config.shift_enabled)
+            acc_u[n] += u[:, 0]
+            acc_v[n] += v[:, 0, 0]
     rows: List[Tuple] = [("t", "x", "u", "v")]
     for n in range(grid.N + 1):
         for p in range(P):
@@ -157,7 +151,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
         out = args.out if args.out is not None else config.out
-        return _DISPATCH[args.command](config, out, args)
+        code = _DISPATCH[args.command](config, out, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (say, by head); devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -63,11 +63,9 @@ class PathSet:
     """
 
     grid: TimeGrid
-    domain: Domain
     states: Array          # (M, N+1, d)
     exit_index: Array      # (M,) int64
     exit_detected: Array   # (M,) bool
-    shift_enabled: bool
 
     @property
     def M(self) -> int:
@@ -221,9 +219,7 @@ def simulate_stopped(
     exit_detected.setflags(write=False)
     return PathSet(
         grid=grid,
-        domain=domain,
         states=states,
         exit_index=exit_index,
         exit_detected=exit_detected,
-        shift_enabled=shift_enabled,
     )

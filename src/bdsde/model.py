@@ -65,10 +65,11 @@ class ConfigError(BdsdeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform partition t_i = i*h of [0, T] with N steps.
+    """Uniform partition t_i = t_0 + i*h of [t_0, T] with N steps.
 
-    ``times`` is computed as (i*T)/N so the right endpoint lands on T exactly
-    instead of drifting by accumulated rounding; spacing is uniform to 1 ulp.
+    ``build_grid`` sets t_0 = 0 and ``times`` to (i*T)/N, so the right endpoint
+    lands within 1 ulp of T instead of drifting by accumulated rounding, and
+    spacing is uniform to 1 ulp.  A tail grid times[n:] keeps those times.
     """
 
     T: float
@@ -78,7 +79,7 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Index i with times[i] == t up to 1e-9*h, else an error."""
-        i = int(np.clip(np.round(t / self.h), 0, self.N))
+        i = int(np.clip(np.round((t - self.times[0]) / self.h), 0, self.N))
         if abs(self.times[i] - t) > 1e-9 * self.h:
             raise InvalidParameterError(f"t={t!r} is not a grid time")
         return i

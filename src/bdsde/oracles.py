@@ -24,11 +24,12 @@ from .model import (
     Domain,
     EvaluationError,
     InvalidParameterError,
+    InvalidStartError,
     TimeGrid,
     sample_noise,
 )
 from .regression import HypercubePartition
-from .solver import BackwardSolution, SolverConfig, solve
+from .solver import SolverConfig, solve
 
 Array = np.ndarray
 
@@ -186,7 +187,7 @@ def spde_point(
     domain: Domain,
     wpath: Array,
     t_n: float,
-    x,
+    points: Array,
     M: int,
     partition: HypercubePartition,
     config: SolverConfig,
@@ -194,45 +195,43 @@ def spde_point(
     *,
     shift_enabled: bool = True,
 ) -> tuple:
-    """Field values (u, v) at one lattice node via a restarted solve.
+    """Field values (u, v) on a row of lattice points via restarted solves.
 
-    Restarts the diffusion at (t_n, x) on the tail grid {t_n, ..., T} and
-    returns (Y0, Z0) of that sub-problem.  The supplied backward path is
-    sliced, never resampled, so every spatial point evaluated against the
-    same wpath sees the identical external noise; only the forward paths
-    depend on the seed.
+    Restarts the diffusion at (t_n, x) for every row x of ``points`` (P, d)
+    on the tail grid {t_n, ..., T}, which keeps the absolute grid times, and
+    returns the stacked (Y0, Z0) as u (P, k) and v (P, k, d).  The backward
+    path is sliced, never resampled, and the forward noise is drawn once per
+    call, so every point of the row sees the same noise.
     """
     n = grid.index_of(t_n)
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != coeffs.d:
+        raise InvalidParameterError(f"points shape {points.shape}, expected (P, {coeffs.d})")
     wpath = np.asarray(wpath, dtype=np.float64)
     if wpath.shape != (grid.N, coeffs.l):
         raise InvalidParameterError(
             f"backward path shape {wpath.shape}, expected {(grid.N, coeffs.l)}"
         )
+    # where the stopped scheme stops at once (at T, or inside the exit-shift
+    # collar) the field takes the boundary payoff: u = phi(t_n, x), v = 0
+    u = np.array(coeffs.eval_phi(float(grid.times[n]), points))
+    v = np.zeros((points.shape[0], coeffs.k, coeffs.d))
     if n == grid.N:
-        u = coeffs.eval_phi(float(grid.T), x[None, :])[0]
-        return u, np.zeros((coeffs.k, coeffs.d))
+        return u, v
 
-    if n == 0:
-        sub_grid, sub_coeffs = grid, coeffs
-    else:
-        times = grid.times[n:] - grid.times[n]
-        times.setflags(write=False)
-        sub_grid = TimeGrid(T=float(times[-1]), N=grid.N - n, h=grid.h, times=times)
-        t0 = float(grid.times[n])
-        inner_f, inner_g, inner_phi = coeffs.f, coeffs.g, coeffs.phi
-        sub_coeffs = dataclasses.replace(
-            coeffs,
-            f=lambda t, xs, y, z: inner_f(t + t0, xs, y, z),
-            g=None if inner_g is None else
-              (lambda t, xs, y, z: inner_g(t + t0, xs, y, z)),
-            phi=lambda t, xs: inner_phi(t + t0, xs),
-        )
-    noise = sample_noise(seed, M, sub_grid, coeffs.d, coeffs.l)
-    noise = noise.with_backward(wpath[n:])
-    sol = solve(sub_coeffs, sub_grid, domain, noise, x, partition, config,
-                shift_enabled=shift_enabled)
-    return sol.Y0, sol.Z0
+    tail = dataclasses.replace(grid, N=grid.N - n, times=grid.times[n:])
+    noise = sample_noise(seed, M, tail, coeffs.d, coeffs.l).with_backward(wpath[n:])
+    for p, x in enumerate(points):
+        try:
+            sol = solve(coeffs, tail, domain, noise, x, partition, config,
+                        shift_enabled=shift_enabled)
+        except InvalidStartError:
+            if not domain.contains(x):
+                raise  # outside the open domain: no field value
+            continue   # inside the collar
+        u[p], v[p] = sol.Y0, sol.Z0
+        del sol  # release this restart's paths before the next one
+    return u, v
 
 
 def midpoint_lattice(domain: Domain, count: int = 29) -> tuple:

@@ -92,7 +92,6 @@ class SolverDiagnostics:
 class BackwardSolution:
     """Fitted cell functions, realized per-path values, and t=0 readout."""
 
-    config: SolverConfig
     paths: PathSet
     y_funcs: tuple               # length N+1
     z_funcs: tuple               # length N
@@ -264,7 +263,7 @@ def backward_induction(
         exit_fraction=float(paths.exit_detected.mean()),
     )
     return BackwardSolution(
-        config=config, paths=paths,
+        paths=paths,
         y_funcs=tuple(y_funcs), z_funcs=tuple(z_funcs),
         y_values=y_values, z_values=z_values,
         Y0=Y0, Z0=Z0, diagnostics=diagnostics,

@@ -1,13 +1,24 @@
 """Entry-point behavior: subcommands, flag overrides, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bdsde
 from bdsde import build_problem, load_config, sample_noise, solve
 from bdsde.cli import main
+
+
+def module_env():
+    """Environment in which ``python -m bdsde`` imports the package under test."""
+    env = dict(os.environ)
+    src = str(Path(bdsde.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def small_config(tmp_path, **overrides):
@@ -171,7 +182,19 @@ def test_module_entry_point(tmp_path):
     cfg = small_config(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-m", "bdsde", "run", "--config", cfg, "--seed", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=module_env(),
     )
     assert proc.returncode == 0
     assert "Y0 = " in proc.stdout
+
+
+def test_closed_stdout_exits_1_quietly(tmp_path):
+    cfg = small_config(tmp_path, N=2)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bdsde", "table", "--config", cfg, "--reps", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

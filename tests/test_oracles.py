@@ -1,13 +1,18 @@
 """Closed-form oracle, plain-BSDE reduction, field evaluation and metric."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bdsde import (
+    MODES,
     CoefficientSet,
     Domain,
     InvalidParameterError,
+    InvalidStartError,
     SolverConfig,
+    TimeGrid,
     backward_induction,
     build_grid,
     build_partition,
@@ -180,9 +185,10 @@ def _field_setup(N=10, M=256):
 def test_spde_point_terminal_slice():
     grid, part, dom = _field_setup()
     wpath = np.zeros((10, 1))
-    u, v = spde_point(reference_coeffs(), grid, dom, wpath, 0.25, [87.0], 64,
-                      part, SolverConfig(mode="bsde"), seed=5)
-    assert u[0] == pytest.approx(115.0 - 87.0)
+    u, v = spde_point(reference_coeffs(), grid, dom, wpath, 0.25, [[87.0], [150.0]],
+                      64, part, SolverConfig(mode="bsde"), seed=5)
+    assert u.shape == (2, 1) and v.shape == (2, 1, 1)
+    assert u[:, 0] == pytest.approx([115.0 - 87.0, 115.0 - 150.0])
     assert (v == 0.0).all()
 
 
@@ -192,22 +198,22 @@ def test_spde_point_at_origin_equals_plain_solve():
     cfg = SolverConfig(mode="bdsde-random-terminal")
     c = reference_coeffs(g=lambda t, x, y, z: (0.5 * y + np.log(x))[:, :, None])
     sol = solve(c, grid, dom, nb, [100.0], part, cfg)
-    u, v = spde_point(c, grid, dom, nb.backward, 0.0, [100.0], 256, part, cfg,
+    u, v = spde_point(c, grid, dom, nb.backward, 0.0, [[100.0]], 256, part, cfg,
                       seed=77)
-    assert np.array_equal(u, sol.Y0)
-    assert np.array_equal(v, sol.Z0)
+    assert np.array_equal(u[0], sol.Y0)
+    assert np.array_equal(v[0], sol.Z0)
 
 
 def test_spde_point_interior_restart_near_oracle():
     grid, part, dom = _field_setup()
     wpath = np.zeros((10, 1))
     u, v = spde_point(reference_coeffs(), grid, dom, wpath,
-                      float(grid.times[4]), [100.0], 4096, part,
+                      float(grid.times[4]), [[100.0]], 4096, part,
                       SolverConfig(mode="bsde"), seed=6)
     # oracle at (t_4, 100): K e^{-r (T - t_4)} - 100
     t4 = float(grid.times[4])
     expect = STRIKE * np.exp(-RATE * (0.25 - t4)) - 100.0
-    assert abs(u[0] - expect) < 0.5
+    assert abs(u[0, 0] - expect) < 0.5
 
 
 def test_spde_point_shares_backward_path():
@@ -217,9 +223,9 @@ def test_spde_point_shares_backward_path():
     w1 = sample_noise(1, 1, grid, 1, 1).backward
     w2 = np.zeros((10, 1))
     t_mid = float(grid.times[5])
-    a1, _ = spde_point(c, grid, dom, w1, t_mid, [100.0], 128, part, cfg, seed=9)
-    a2, _ = spde_point(c, grid, dom, w1, t_mid, [100.0], 128, part, cfg, seed=9)
-    b, _ = spde_point(c, grid, dom, w2, t_mid, [100.0], 128, part, cfg, seed=9)
+    a1, _ = spde_point(c, grid, dom, w1, t_mid, [[100.0]], 128, part, cfg, seed=9)
+    a2, _ = spde_point(c, grid, dom, w1, t_mid, [[100.0]], 128, part, cfg, seed=9)
+    b, _ = spde_point(c, grid, dom, w2, t_mid, [[100.0]], 128, part, cfg, seed=9)
     assert np.array_equal(a1, a2)           # deterministic in (wpath, seed)
     assert not np.array_equal(a1, b)        # and sensitive to the shared path
 
@@ -228,7 +234,125 @@ def test_spde_point_rejects_off_grid_time():
     grid, part, dom = _field_setup()
     with pytest.raises(InvalidParameterError):
         spde_point(reference_coeffs(), grid, dom, np.zeros((10, 1)), 0.013,
-                   [100.0], 16, part, SolverConfig(mode="bsde"), seed=1)
+                   [[100.0]], 16, part, SolverConfig(mode="bsde"), seed=1)
+
+
+def per_point_restart(coeffs, grid, domain, wpath, n, x, M, partition, config,
+                      seed):
+    """Reference field value at one lattice point from its own restart: a
+    grid shifted to start at 0 with coefficients wrapped to t + t_n, a fresh
+    noise draw per point, and (phi, 0) at T or where the solve refuses a
+    start in the exit-shift collar."""
+    x = np.asarray(x, dtype=np.float64)
+    zero = np.zeros((coeffs.k, coeffs.d))
+    if n == grid.N:
+        return coeffs.eval_phi(float(grid.T), x[None, :])[0], zero
+    if n == 0:
+        sub_grid, sub_coeffs = grid, coeffs
+    else:
+        times = grid.times[n:] - grid.times[n]
+        sub_grid = TimeGrid(T=float(times[-1]), N=grid.N - n, h=grid.h, times=times)
+        t0 = float(grid.times[n])
+        f, g, phi = coeffs.f, coeffs.g, coeffs.phi
+        sub_coeffs = dataclasses.replace(
+            coeffs,
+            f=lambda t, xs, y, z: f(t + t0, xs, y, z),
+            g=None if g is None else (lambda t, xs, y, z: g(t + t0, xs, y, z)),
+            phi=lambda t, xs: phi(t + t0, xs),
+        )
+    noise = sample_noise(seed, M, sub_grid, coeffs.d, coeffs.l)
+    noise = noise.with_backward(wpath[n:])
+    try:
+        sol = solve(sub_coeffs, sub_grid, domain, noise, x, partition, config)
+    except InvalidStartError:
+        return coeffs.eval_phi(float(grid.times[n]), x[None, :])[0], zero
+    return sol.Y0, sol.Z0
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("lower,upper", [(60.0, 200.0), (90.0, 110.0)])
+def test_spde_point_row_matches_per_point_restart_bitwise(mode, lower, upper):
+    grid = build_grid(0.25, 6)
+    dom = Domain.box([lower], [upper])
+    part = build_partition([lower], [upper], 2.0)
+    c = reference_coeffs(g=lambda t, x, y, z: (0.1 * z[:, :, 0] + 0.5 * y
+                                               + np.log(x))[:, :, None])
+    cfg = SolverConfig(mode=mode)
+    # the outer points lie in the exit-shift collar (width about 1.4 at 60,
+    # 2.4 at 90 and 2.7 at 110 for this step)
+    points = np.array([[lower + 0.5], [lower + 0.3 * (upper - lower)], [100.0],
+                       [upper - 0.5]])
+    wpath = sample_noise(31, 1, grid, 1, 1).backward
+    collar = 0
+    for n in range(grid.N + 1):
+        u, v = spde_point(c, grid, dom, wpath, float(grid.times[n]), points,
+                          256, part, cfg, seed=31)
+        for p, x in enumerate(points):
+            u_ref, v_ref = per_point_restart(c, grid, dom, wpath, n, x, 256,
+                                             part, cfg, seed=31)
+            assert np.array_equal(u[p], u_ref), (n, p)
+            assert np.array_equal(v[p], v_ref), (n, p)
+            collar += n < grid.N and not v_ref.any()
+    if mode == "bdsde-random-terminal":
+        assert collar == 2 * grid.N      # both outer points, every t < T
+
+
+def test_spde_point_collar_and_outside_points():
+    grid, part, dom = _field_setup()
+    cfg = SolverConfig(mode="bdsde-random-terminal")
+    c = reference_coeffs(g=lambda t, x, y, z: (0.5 * y)[:, :, None])
+    wpath = np.zeros((10, 1))
+    u, v = spde_point(c, grid, dom, wpath, float(grid.times[3]),
+                      [[60.5], [100.0]], 64, part, cfg, seed=2)
+    assert u[0, 0] == 115.0 - 60.5 and (v[0] == 0.0).all()
+    assert (v[1] != 0.0).all()
+    with pytest.raises(InvalidStartError, match="outside"):
+        spde_point(c, grid, dom, wpath, float(grid.times[3]), [[100.0], [59.0]],
+                   64, part, cfg, seed=2)
+    with pytest.raises(InvalidParameterError, match="points shape"):
+        spde_point(c, grid, dom, wpath, 0.0, [100.0], 64, part, cfg, seed=2)
+
+
+def test_spde_point_passes_grid_times_to_coefficients():
+    # a shifted clock t + t_n lands one ulp off some grid times at T=0.25, N=20
+    grid = build_grid(0.25, 20)
+    seen = []
+
+    def record(t):
+        seen.append(np.asarray(t, dtype=np.float64).ravel())
+
+    def f(t, x, y, z):
+        record(t)
+        return reference_driver(t, x, y, z)
+
+    def g(t, x, y, z):
+        record(t)
+        return (0.5 * y + 0.01 * t)[:, :, None]
+
+    def phi(t, x):
+        record(t)
+        return STRIKE - x + 0.0 * np.reshape(t, (-1, 1))
+
+    c = CoefficientSet(d=1, k=1, l=1, b=lambda x: MU * x, sigma=gbm_sigma,
+                       f=f, g=g, phi=phi)
+    part = build_partition([90.0], [110.0], 2.0)
+    dom = Domain.box([90.0], [110.0])
+    wpath = sample_noise(4, 1, grid, 1, 1).backward
+    for n in range(grid.N + 1):
+        spde_point(c, grid, dom, wpath, float(grid.times[n]), [[100.0]], 64, part,
+                   SolverConfig(mode="bdsde-random-terminal", picard_iterations=1),
+                   seed=4)
+    seen = np.concatenate(seen)
+    assert seen.size > 0
+    assert np.isin(seen, grid.times).all()
+
+
+def test_index_of_on_tail_grid():
+    grid = build_grid(0.25, 20)
+    tail = dataclasses.replace(grid, N=grid.N - 7, times=grid.times[7:])
+    assert [tail.index_of(float(t)) for t in grid.times[7:]] == list(range(14))
+    with pytest.raises(InvalidParameterError):
+        tail.index_of(float(grid.times[7] + 0.5 * grid.h))
 
 
 # ------------------------------ error metric ------------------------------- #
@@ -295,13 +419,12 @@ def test_spde_error_decreases_under_refinement():
             u_grid = np.zeros((N + 1, len(points), 1))
             v_grid = np.zeros((N, len(points), 1, 1))
             for n in range(N + 1):
-                for p, x in enumerate(points):
-                    u, v = spde_point(reference_coeffs(), grid, dom, wpath,
-                                      float(grid.times[n]), x, M, part, cfg,
-                                      seed=900 + rep)
-                    u_grid[n, p] = u
-                    if n < N:
-                        v_grid[n, p] = v
+                u, v = spde_point(reference_coeffs(), grid, dom, wpath,
+                                  float(grid.times[n]), points, M, part, cfg,
+                                  seed=900 + rep)
+                u_grid[n] = u
+                if n < N:
+                    v_grid[n] = v
             u_runs.append(u_grid)
             v_runs.append(v_grid)
         errs[N] = spde_error(np.stack(u_runs), np.stack(v_runs), o.u, o.z,

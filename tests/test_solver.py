@@ -119,9 +119,8 @@ def _two_path_set(dB):
     states = np.full((2, 2, 1), 0.5)
     states[:, 1, 0] = 0.5  # dynamics irrelevant; regression uses states[:, 0]
     return g, PathSet(
-        grid=g, domain=Domain.whole_space(1), states=states,
+        grid=g, states=states,
         exit_index=np.array([1, 1]), exit_detected=np.array([False, False]),
-        shift_enabled=True,
     )
 
 
