@@ -1,125 +1,23 @@
 """Regression Monte Carlo solver for backward doubly stochastic differential
 equations whose terminal time is the first exit of a forward Euler diffusion
-from a bounded domain."""
+from a bounded domain.
 
-from .model import (
-    BdsdeError,
-    ConfigError,
-    CoefficientSet,
-    Domain,
-    EvaluationError,
-    InvalidParameterError,
-    InvalidStartError,
-    NoiseBundle,
-    TimeGrid,
-    build_grid,
-    sample_noise,
-)
-from .forward import (
-    C0,
-    PathSet,
-    euler_step,
-    shift_width,
-    simulate_stopped,
-)
-from .regression import (
-    CellFunction,
-    HypercubePartition,
-    build_partition,
-    lsq_oracle,
-    project,
-)
-from .solver import (
-    MODES,
-    BackwardSolution,
-    SolverConfig,
-    SolverDiagnostics,
-    backward_induction,
-    solve,
-    strong_error,
-    terminal_values,
-    y_step,
-    z_step,
-)
-from .oracles import (
-    OracleSolution,
-    TransformedProblem,
-    forward_contract_oracle,
-    midpoint_lattice,
-    spde_error,
-    spde_point,
-    transform_to_bsde,
-)
-from .experiments import (
-    ExperimentConfig,
-    G_CHOICES,
-    RunStats,
-    TABLE_M_GRID,
-    build_problem,
-    dump_diagnostics,
-    emit_csv,
-    load_config,
-    make_driver,
-    make_g,
-    make_payoff,
-    repeat_runs,
-    run_convergence,
-    run_table,
-)
+The package exports the ``__all__`` of each submodule; each public name is
+listed once, in its own module.
+"""
 
-__all__ = [
-    "BackwardSolution",
-    "BdsdeError",
-    "C0",
-    "CellFunction",
-    "ConfigError",
-    "CoefficientSet",
-    "Domain",
-    "EvaluationError",
-    "ExperimentConfig",
-    "G_CHOICES",
-    "HypercubePartition",
-    "InvalidParameterError",
-    "InvalidStartError",
-    "MODES",
-    "NoiseBundle",
-    "OracleSolution",
-    "PathSet",
-    "RunStats",
-    "SolverConfig",
-    "SolverDiagnostics",
-    "TABLE_M_GRID",
-    "TimeGrid",
-    "TransformedProblem",
-    "backward_induction",
-    "build_grid",
-    "build_partition",
-    "build_problem",
-    "dump_diagnostics",
-    "emit_csv",
-    "euler_step",
-    "forward_contract_oracle",
-    "load_config",
-    "lsq_oracle",
-    "make_driver",
-    "make_g",
-    "make_payoff",
-    "midpoint_lattice",
-    "project",
-    "repeat_runs",
-    "run_convergence",
-    "run_table",
-    "sample_noise",
-    "shift_width",
-    "simulate_stopped",
-    "solve",
-    "spde_error",
-    "spde_point",
-    "strong_error",
-    "terminal_values",
-    "transform_to_bsde",
-    "y_step",
-    "z_step",
-]
+from . import experiments, forward, model, oracles, regression, solver
+from .experiments import *  # noqa: F401,F403
+from .forward import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .oracles import *  # noqa: F401,F403
+from .regression import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
+
+__all__ = sorted({
+    name
+    for module in (model, forward, regression, solver, oracles, experiments)
+    for name in module.__all__
+})
 
 __version__ = "0.1.0"

@@ -12,12 +12,13 @@ import numpy as np
 
 from .experiments import (
     ExperimentConfig,
+    _run_set,
+    _stats,
     build_problem,
     derived_seeds,
     dump_diagnostics,
     emit_csv,
     load_config,
-    repeat_runs,
     run_convergence,
     run_table,
 )
@@ -82,9 +83,10 @@ def _cmd_run(config: ExperimentConfig, out: Optional[str], args) -> int:
         print("max_picard_residual_by_sweep = " + " ".join(
             f"{v:.3g}" for v in diag.picard_residuals.max(axis=0)))
     if args.reps is not None:
-        stats = repeat_runs(config, args.reps, threads=args.threads)
-        print(f"repetitions = {stats.R_runs}: mean = {stats.mean:.10g}, "
-              f"std = {stats.std:.10g}")
+        # the solve printed above is repetition 0
+        runs = _run_set(config, args.reps, args.threads, None, (0,), first=sol)
+        mean, std = _stats([run[0] for run in runs])
+        print(f"repetitions = {args.reps}: mean = {mean:.10g}, std = {std:.10g}")
     if out is not None:
         dump_diagnostics(sol, out)
         print(f"diagnostics written to {out}")

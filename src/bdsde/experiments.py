@@ -326,13 +326,15 @@ def _run_set(
     threads: int,
     coeffs: Optional[CoefficientSet],
     time_indices: Sequence[int],
+    first: Optional[BackwardSolution] = None,
 ) -> List[Dict[int, float]]:
     """Solve R_runs times with seeds seed+0 .. seed+R_runs-1.
 
     Each entry maps a time index n to the run's scalar estimate there: Y0 for
     n = 0, otherwise the regression function averaged over the paths still
     alive at t_n (over all paths if none survived, every value then being a
-    frozen exit payoff).
+    frozen exit payoff).  ``first``, if given, is the caller's solve of
+    seed+0 and stands in for it.
     """
     if R_runs < 2:
         raise InvalidParameterError(
@@ -345,9 +347,12 @@ def _run_set(
     x0 = [config.x0] * use.d
 
     def one(seed: int) -> Dict[int, float]:
-        noise = sample_noise(seed, config.M, grid, use.d, use.l)
-        sol = solve(use, grid, domain, noise, x0, partition, scfg,
-                    shift_enabled=config.shift_enabled)
+        if first is not None and seed == config.seed:
+            sol = first
+        else:
+            noise = sample_noise(seed, config.M, grid, use.d, use.l)
+            sol = solve(use, grid, domain, noise, x0, partition, scfg,
+                        shift_enabled=config.shift_enabled)
         snap: Dict[int, float] = {}
         for n in time_indices:
             if n == 0:

@@ -132,25 +132,6 @@ def euler_step(coeffs: CoefficientSet, x: Array, h: float, dB: Array) -> Array:
 
 # ------------------------------ simulation --------------------------------- #
 
-def _inside_shifted(
-    domain: Domain,
-    x: Array,
-    sigma: Callable[[Array], Array],
-    h: float,
-    shift_enabled: bool,
-) -> Array:
-    """Strict membership in the (optionally shrunken) open domain.
-
-    Points on the shrunken boundary count as outside.  boundary_distance
-    is negative outside the box, so a single strict comparison covers both
-    "left the box" and "entered the shift collar".
-    """
-    if domain.is_whole_space:
-        return np.ones(x.shape[0], dtype=bool)
-    width = shift_width(domain, x, sigma, h) if shift_enabled else 0.0
-    return domain.boundary_distance(x) > width
-
-
 def simulate_stopped(
     coeffs: CoefficientSet,
     grid: TimeGrid,
@@ -162,9 +143,14 @@ def simulate_stopped(
 ) -> PathSet:
     """Evolve M Euler paths from x0 and stop each at its first discrete exit.
 
-    The exit test runs at indices i >= 1 only; the start point must lie
-    strictly inside the shrunken domain, which is checked up front.  Exited
-    paths carry their exit state forward unchanged so that downstream
+    One test decides membership in the shrunken open domain, for the start
+    point and after every step: boundary_distance(x) > shift_width(x),
+    strictly, with width 0 when the shift is off.  boundary_distance is
+    negative outside the box, so a point leaving the box and a point entering
+    the shift collar both fail it.  The whole space (the box with infinite
+    bounds) is never left, so neither the test nor the shift is computed there.
+    Each step advances the paths still running; a path that exits has its
+    exit state written to the rest of its row at once, so that downstream
     regression can index states[:, i] uniformly.
     """
     if noise.d != coeffs.d:
@@ -178,15 +164,22 @@ def simulate_stopped(
         raise InvalidParameterError(
             f"start point must have shape ({coeffs.d},), got {x0.shape}"
         )
-    x0row = x0[None, :]
-    if not domain.contains(x0row)[0]:
+    if not domain.contains(x0[None, :])[0]:
         raise InvalidStartError(f"start point {x0} lies outside the open domain")
-    if shift_enabled and not domain.is_whole_space:
-        w0 = shift_width(domain, x0row, coeffs.sigma, grid.h)[0]
-        if not domain.boundary_distance(x0row)[0] > w0:
+    test_exits = not domain.is_whole_space
+
+    def shifted_test(x: Array) -> tuple:
+        """Shift widths at the rows of x and which rows lie strictly inside."""
+        width = (shift_width(domain, x, coeffs.sigma, grid.h) if shift_enabled
+                 else np.zeros(x.shape[0]))
+        return width, domain.boundary_distance(x) > width
+
+    if test_exits:
+        w0, ok = shifted_test(x0[None, :])
+        if not ok[0]:
             raise InvalidStartError(
                 f"start point {x0} is inside the domain but within the "
-                f"boundary shift {w0:.6g} of its boundary"
+                f"boundary shift {w0[0]:.6g} of its boundary"
             )
 
     M, N, d = noise.M, grid.N, coeffs.d
@@ -194,25 +187,20 @@ def simulate_stopped(
     states[:, 0] = x0
     exit_index = np.full(M, N, dtype=np.int64)
     exit_detected = np.zeros(M, dtype=bool)
-    alive = np.ones(M, dtype=bool)
-    test_exits = not domain.is_whole_space
 
     for i in range(N):
-        idx = np.nonzero(alive)[0]
-        frozen = np.nonzero(~alive)[0]
-        if idx.size:
-            states[idx, i + 1] = euler_step(coeffs, states[idx, i], grid.h,
-                                            noise.forward[idx, i])
-        if frozen.size:
-            states[frozen, i + 1] = states[frozen, i]
-        if test_exits and idx.size:
-            inside = _inside_shifted(
-                domain, states[idx, i + 1], coeffs.sigma, grid.h, shift_enabled
-            )
-            left = idx[~inside]
+        live = np.flatnonzero(~exit_detected)
+        if live.size == 0:
+            break
+        states[live, i + 1] = euler_step(coeffs, states[live, i], grid.h,
+                                         noise.forward[live, i])
+        if test_exits:
+            left = live[~shifted_test(states[live, i + 1])[1]]
             exit_index[left] = i + 1
             exit_detected[left] = True
-            alive[left] = False
+            # an exited row holds its exit state to maturity; filling each
+            # row once costs far less than copying a strided column per step
+            states[left, i + 2:] = states[left, i + 1, None]
 
     states.setflags(write=False)
     exit_index.setflags(write=False)

@@ -65,14 +65,13 @@ class ConfigError(BdsdeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform partition t_i = t_0 + i*h of [t_0, T] with N steps.
+    """Uniform partition t_i = t_0 + i*h, i = 0..N; the horizon is times[N].
 
     ``build_grid`` sets t_0 = 0 and ``times`` to (i*T)/N, so the right endpoint
     lands within 1 ulp of T instead of drifting by accumulated rounding, and
     spacing is uniform to 1 ulp.  A tail grid times[n:] keeps those times.
     """
 
-    T: float
     N: int
     h: float
     times: np.ndarray
@@ -100,20 +99,16 @@ def build_grid(T: float, N: int) -> TimeGrid:
     N = int(N)
     times = (np.arange(N + 1, dtype=np.float64) * float(T)) / N
     times.setflags(write=False)
-    return TimeGrid(T=float(T), N=N, h=float(T) / N, times=times)
+    return TimeGrid(N=N, h=float(T) / N, times=times)
 
 
 # ------------------------------- Domain ----------------------------------- #
 
-_WHOLE = "whole-space"
-_BOX = "axis-box"
-
-
 @dataclass(frozen=True)
 class Domain:
-    """Open spatial domain: either all of R^d or an open axis-aligned box."""
+    """Open axis-aligned box {lower < x < upper}; R^d is the box with bounds
+    -inf and +inf, so one set of box formulas serves both."""
 
-    kind: str
     lower: np.ndarray
     upper: np.ndarray
 
@@ -125,7 +120,7 @@ class Domain:
         hi = np.full(d, np.inf)
         lo.setflags(write=False)
         hi.setflags(write=False)
-        return Domain(kind=_WHOLE, lower=lo, upper=hi)
+        return Domain(lower=lo, upper=hi)
 
     @staticmethod
     def box(lower, upper) -> "Domain":
@@ -139,7 +134,7 @@ class Domain:
             raise InvalidParameterError(f"need lower < upper componentwise, got {lo} vs {hi}")
         lo.setflags(write=False)
         hi.setflags(write=False)
-        return Domain(kind=_BOX, lower=lo, upper=hi)
+        return Domain(lower=lo, upper=hi)
 
     @property
     def d(self) -> int:
@@ -147,20 +142,17 @@ class Domain:
 
     @property
     def is_whole_space(self) -> bool:
-        return self.kind == _WHOLE
+        """All of R^d: every bound infinite, so there is no boundary to exit."""
+        return bool(np.all(self.lower == -np.inf) and np.all(self.upper == np.inf))
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """Strict membership in the open domain; shape (...,) bool."""
         x = np.asarray(x, dtype=np.float64)
-        if self.is_whole_space:
-            return np.ones(x.shape[:-1], dtype=bool)
         return np.all(x > self.lower, axis=-1) & np.all(x < self.upper, axis=-1)
 
     def boundary_distance(self, x: np.ndarray) -> np.ndarray:
         """Distance to the nearest face (negative outside); +inf for R^d."""
         x = np.asarray(x, dtype=np.float64)
-        if self.is_whole_space:
-            return np.full(x.shape[:-1], np.inf)
         gaps = np.concatenate([x - self.lower, self.upper - x], axis=-1)
         return np.min(gaps, axis=-1)
 

@@ -56,7 +56,6 @@ class OracleSolution:
 
     u: Callable[[float, Array], Array]
     z: Callable[[float, Array], Array]
-    note: str
 
 
 def forward_contract_oracle(
@@ -83,11 +82,7 @@ def forward_contract_oracle(
         x = np.asarray(x, dtype=np.float64)
         return -np.asarray(sigma_fn(x), dtype=np.float64)
 
-    return OracleSolution(
-        u=u, z=z,
-        note=("exact for the K/r forward-contract payoff with any volatility map; "
-              "scalar state, no-exit setting (discount keeps y - z/sigma positive)"),
-    )
+    return OracleSolution(u=u, z=z)
 
 
 # ------------------------- reduction to plain BSDE ------------------------- #
@@ -104,7 +99,6 @@ class TransformedProblem:
     """
 
     coeffs: CoefficientSet
-    grid: TimeGrid
     offsets: Array            # (N+1, k)
 
     def shift_terminal(self, terminal: Array, exit_index: Array) -> Array:
@@ -174,7 +168,6 @@ def transform_to_bsde(
 
     return TransformedProblem(
         coeffs=dataclasses.replace(coeffs, f=fbar, g=None),
-        grid=grid,
         offsets=offsets,
     )
 
@@ -240,7 +233,7 @@ def midpoint_lattice(domain: Domain, count: int = 29) -> tuple:
     count nodes per dimension at cell centers; weights are the uniform
     cell volumes, so sum(w f(x)) approximates the integral over the box.
     """
-    if domain.kind != "axis-box":
+    if domain.is_whole_space:
         raise InvalidParameterError("a bounded box is needed for the spatial lattice")
     if int(count) != count or count < 1:
         raise InvalidParameterError(f"lattice resolution must be >= 1, got {count!r}")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bdsde
-from bdsde import build_problem, load_config, sample_noise, solve
+from bdsde import build_problem, load_config, repeat_runs, sample_noise, solve
 from bdsde.cli import main
 
 
@@ -73,6 +73,28 @@ def test_run_reps_and_diagnostics_out(tmp_path, capsys):
     lines = diag.read_text().splitlines()
     assert lines[0] == "n,picard_iter,residual,empty_cells"
     assert len(lines) == 1 + 6 * 3        # N steps x I sweeps
+
+
+def test_run_reps_solves_each_seed_once(tmp_path, capsys, monkeypatch):
+    # the printed solve is repetition 0, so --reps R makes R solves on
+    # seeds seed..seed+R-1, with the statistics of repeat_runs
+    cfg = small_config(tmp_path)
+    seeds = []
+
+    def recording(coeffs, grid, domain, noise, *args, **kwargs):
+        seeds.append(noise.seed)
+        return solve(coeffs, grid, domain, noise, *args, **kwargs)
+
+    monkeypatch.setattr(bdsde.cli, "solve", recording)
+    monkeypatch.setattr(bdsde.experiments, "solve", recording)
+    assert main(["run", "--config", cfg, "--reps", "3"]) == 0
+    assert seeds == [7, 8, 9]
+    seeds.clear()
+    assert main(["run", "--config", cfg, "--reps", "3", "--threads", "2"]) == 0
+    assert sorted(seeds) == [7, 8, 9]
+    stats = repeat_runs(load_config(cfg), 3)
+    line = f"repetitions = 3: mean = {stats.mean:.10g}, std = {stats.std:.10g}\n"
+    assert capsys.readouterr().out.count(line) == 2
 
 
 def test_table_writes_sorted_csv(tmp_path):
@@ -190,11 +212,11 @@ def test_module_entry_point(tmp_path):
 
 def test_closed_stdout_exits_1_quietly(tmp_path):
     cfg = small_config(tmp_path, N=2)
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "bdsde", "table", "--config", cfg, "--reps", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
-    )
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
     assert err == b""

@@ -177,7 +177,7 @@ def test_build_problem_wires_the_config():
     cfg = ExperimentConfig(**base_kwargs())
     coeffs, grid, domain, partition, scfg = build_problem(cfg)
     assert coeffs.g is not None and coeffs.d == 1
-    assert grid.N == 6 and grid.T == 0.25
+    assert grid.N == 6 and grid.times[-1] == 0.25
     assert domain.lower[0] == 60.0 and domain.upper[0] == 200.0
     assert partition.d1[0] == 60.0 and scfg.mode == cfg.mode
     assert scfg.picard_iterations == 3

@@ -1,8 +1,10 @@
-"""Grid, domain, coefficient and noise-layer contracts."""
+"""Grid, domain, coefficient and noise-layer contracts, and the package
+export list."""
 
 import numpy as np
 import pytest
 
+import bdsde
 from bdsde import (
     CoefficientSet,
     Domain,
@@ -61,6 +63,17 @@ def test_whole_space_distance_infinite():
     x = np.array([[1.0, -3.0]])
     assert dom.contains(x).all()
     assert np.isinf(dom.boundary_distance(x)).all()
+
+
+def test_whole_space_is_the_box_with_infinite_bounds():
+    ws = Domain.whole_space(2)
+    assert ws.is_whole_space and not Domain.box([0.0, 0.0], [1.0, 1.0]).is_whole_space
+    assert (ws.lower == -np.inf).all() and (ws.upper == np.inf).all()
+    # the box formulas: every finite point is inside, a non-finite one is not
+    x = np.array([[1e308, -1e308], [np.inf, 0.0], [0.0, np.nan]])
+    assert list(ws.contains(x)) == [True, False, False]
+    with pytest.raises(InvalidParameterError, match="no boundary normal"):
+        ws.inward_normal(x[:1])
 
 
 def test_boundary_distance_and_normal_2d():
@@ -214,3 +227,15 @@ def test_with_backward_injects_and_validates():
     assert np.array_equal(nb2.forward, nb.forward)
     with pytest.raises(InvalidParameterError):
         nb.with_backward(np.zeros((3, 1)))
+
+
+# ------------------------------- exports ----------------------------------- #
+
+def test_package_exports_the_union_of_submodule_all():
+    modules = (bdsde.model, bdsde.forward, bdsde.regression, bdsde.solver,
+               bdsde.oracles, bdsde.experiments)
+    assert bdsde.__all__ == sorted(set().union(*(m.__all__ for m in modules)))
+    for name in bdsde.__all__:
+        owner = next(m for m in modules if name in m.__all__)
+        assert getattr(bdsde, name) is getattr(owner, name), name
+    assert {"fit_cells", "gather"} <= set(bdsde.__all__)

@@ -246,12 +246,12 @@ def per_point_restart(coeffs, grid, domain, wpath, n, x, M, partition, config,
     x = np.asarray(x, dtype=np.float64)
     zero = np.zeros((coeffs.k, coeffs.d))
     if n == grid.N:
-        return coeffs.eval_phi(float(grid.T), x[None, :])[0], zero
+        return coeffs.eval_phi(float(grid.times[-1]), x[None, :])[0], zero
     if n == 0:
         sub_grid, sub_coeffs = grid, coeffs
     else:
         times = grid.times[n:] - grid.times[n]
-        sub_grid = TimeGrid(T=float(times[-1]), N=grid.N - n, h=grid.h, times=times)
+        sub_grid = TimeGrid(N=grid.N - n, h=grid.h, times=times)
         t0 = float(grid.times[n])
         f, g, phi = coeffs.f, coeffs.g, coeffs.phi
         sub_coeffs = dataclasses.replace(
