@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -363,9 +364,10 @@ def _run_set(
                 snap[n] = float(vals[live].mean() if live.any() else vals.mean())
         return snap
 
-    if threads <= 1:
+    workers = min(threads, R_runs, os.cpu_count() or 1)
+    if workers <= 1:
         return [one(seed) for seed in seeds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, seeds))
 
 

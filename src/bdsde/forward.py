@@ -55,25 +55,26 @@ C0 = 0.5826
 class PathSet:
     """Stopped Euler paths with per-path exit bookkeeping.
 
-    states holds the full (M, N+1, d) array; rows are frozen after exit,
-    so states[m, i] == states[m, exit_index[m]] for every i >= exit_index[m].
+    states is time-major, (N+1, M, d), so the states at t_i are the
+    contiguous block states[i].  Paths are frozen after exit:
+    states[i, m] == states[exit_index[m], m] for every i >= exit_index[m].
     exit_index lies in {1..N}; N doubles as the no-exit sentinel, and
     exit_detected distinguishes a genuine last-step exit from plain
     survival to maturity.
     """
 
     grid: TimeGrid
-    states: Array          # (M, N+1, d)
+    states: Array          # (N+1, M, d)
     exit_index: Array      # (M,) int64
     exit_detected: Array   # (M,) bool
 
     @property
     def M(self) -> int:
-        return self.states.shape[0]
+        return self.states.shape[1]
 
     @property
     def exit_state(self) -> Array:
-        return self.states[np.arange(self.M), self.exit_index]
+        return self.states[self.exit_index, np.arange(self.M)]
 
     @property
     def exit_time(self) -> Array:
@@ -107,16 +108,18 @@ def shift_width(
 
     Returns
     -------
-    (M,) array of C0 * sqrt(h) * |n(x)^T sigma(x)|, zero for the whole space.
+    (M,) array of C0 * sqrt(h) * ||sigma(x)[j, :]||, zero for the whole
+    space.  j is the axis of the nearest face, whose normal is +-e_j, so the
+    row is |n(x)^T sigma(x)|.
     """
     if h <= 0.0:
         raise InvalidParameterError(f"step must be positive, got h={h}")
     x = np.asarray(x, dtype=np.float64)
     if domain.is_whole_space:
         return np.zeros(x.shape[0])
-    n = domain.inward_normal(x)
+    axis = domain.nearest_face(x)[1]
     s = _checked("sigma", sigma(x), x.shape[:-1] + (x.shape[-1],) * 2, x)
-    row = np.einsum("mi,mij->mj", n, s)
+    row = s[np.arange(x.shape[0]), axis]
     return C0 * np.sqrt(h) * np.linalg.norm(row, axis=-1)
 
 
@@ -144,14 +147,13 @@ def simulate_stopped(
     """Evolve M Euler paths from x0 and stop each at its first discrete exit.
 
     One test decides membership in the shrunken open domain, for the start
-    point and after every step: boundary_distance(x) > shift_width(x),
-    strictly, with width 0 when the shift is off.  boundary_distance is
-    negative outside the box, so a point leaving the box and a point entering
-    the shift collar both fail it.  The whole space (the box with infinite
-    bounds) is never left, so neither the test nor the shift is computed there.
-    Each step advances the paths still running; a path that exits has its
-    exit state written to the rest of its row at once, so that downstream
-    regression can index states[:, i] uniformly.
+    point and after every step: the nearest-face distance of x exceeds
+    shift_width(x), strictly, with width 0 when the shift is off.  The
+    distance is negative outside the box, so a point leaving the box and a
+    point entering the shift collar both fail it.  The whole space (the box
+    with infinite bounds) is never left, so neither test nor shift is
+    computed there.  Each step copies the block states[i] to states[i+1] and
+    writes over it the running paths, carried compactly with their indices.
     """
     if noise.d != coeffs.d:
         raise InvalidParameterError(
@@ -172,7 +174,7 @@ def simulate_stopped(
         """Shift widths at the rows of x and which rows lie strictly inside."""
         width = (shift_width(domain, x, coeffs.sigma, grid.h) if shift_enabled
                  else np.zeros(x.shape[0]))
-        return width, domain.boundary_distance(x) > width
+        return width, domain.nearest_face(x)[0] > width
 
     if test_exits:
         w0, ok = shifted_test(x0[None, :])
@@ -183,31 +185,25 @@ def simulate_stopped(
             )
 
     M, N, d = noise.M, grid.N, coeffs.d
-    states = np.empty((M, N + 1, d))
-    states[:, 0] = x0
+    states = np.empty((N + 1, M, d))
+    states[0] = x0
     exit_index = np.full(M, N, dtype=np.int64)
-    exit_detected = np.zeros(M, dtype=bool)
+    live, x = np.arange(M), states[0]    # running paths and their states
 
     for i in range(N):
-        live = np.flatnonzero(~exit_detected)
+        states[i + 1] = states[i]
         if live.size == 0:
-            break
-        states[live, i + 1] = euler_step(coeffs, states[live, i], grid.h,
-                                         noise.forward[live, i])
+            continue
+        x = euler_step(coeffs, x, grid.h, noise.forward[live, i])
+        states[i + 1, live] = x
         if test_exits:
-            left = live[~shifted_test(states[live, i + 1])[1]]
-            exit_index[left] = i + 1
-            exit_detected[left] = True
-            # an exited row holds its exit state to maturity; filling each
-            # row once costs far less than copying a strided column per step
-            states[left, i + 2:] = states[left, i + 1, None]
+            inside = shifted_test(x)[1]
+            exit_index[live[~inside]] = i + 1
+            live, x = live[inside], x[inside]
+    exit_detected = np.ones(M, dtype=bool)
+    exit_detected[live] = False
 
-    states.setflags(write=False)
-    exit_index.setflags(write=False)
-    exit_detected.setflags(write=False)
-    return PathSet(
-        grid=grid,
-        states=states,
-        exit_index=exit_index,
-        exit_detected=exit_detected,
-    )
+    for a in (states, exit_index, exit_detected):
+        a.setflags(write=False)
+    return PathSet(grid=grid, states=states, exit_index=exit_index,
+                   exit_detected=exit_detected)

@@ -63,7 +63,7 @@ class ConfigError(BdsdeError):
 
 # ------------------------------ Time grid --------------------------------- #
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Uniform partition t_i = t_0 + i*h, i = 0..N; the horizon is times[N].
 
@@ -104,10 +104,11 @@ def build_grid(T: float, N: int) -> TimeGrid:
 
 # ------------------------------- Domain ----------------------------------- #
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Domain:
     """Open axis-aligned box {lower < x < upper}; R^d is the box with bounds
-    -inf and +inf, so one set of box formulas serves both."""
+    -inf and +inf, so one set of box formulas serves both.  ``nearest_face``
+    is the one face scan behind the exit test and the boundary shift."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -150,31 +151,25 @@ class Domain:
         x = np.asarray(x, dtype=np.float64)
         return np.all(x > self.lower, axis=-1) & np.all(x < self.upper, axis=-1)
 
-    def boundary_distance(self, x: np.ndarray) -> np.ndarray:
-        """Distance to the nearest face (negative outside); +inf for R^d."""
-        x = np.asarray(x, dtype=np.float64)
-        gaps = np.concatenate([x - self.lower, self.upper - x], axis=-1)
-        return np.min(gaps, axis=-1)
+    def nearest_face(self, x: np.ndarray) -> tuple:
+        """Distance to the nearest face and that face's axis, shapes (...,).
 
-    def inward_normal(self, x: np.ndarray) -> np.ndarray:
-        """Unit inward normal of the nearest face, shape (..., d).
-
-        Faces are scanned as (coord 0 lower, ..., coord d-1 lower,
-        coord 0 upper, ...); the first minimal gap wins, so corner ties break
-        toward the lowest coordinate index and, within a coordinate, toward
-        the lower face.  Undefined (error) for the whole space.
+        One scan over the faces (coord 0 lower, ..., coord d-1 lower,
+        coord 0 upper, ...) with a strict <: the first minimal gap wins, so
+        corner ties break toward the lowest coordinate index and, within a
+        coordinate, toward the lower face.  The distance is negative outside
+        the box and +inf for R^d; the inward normal is +-e_axis.
         """
-        if self.is_whole_space:
-            raise InvalidParameterError("whole-space domain has no boundary normal")
         x = np.asarray(x, dtype=np.float64)
-        gaps = np.concatenate([x - self.lower, self.upper - x], axis=-1)
-        face = np.argmin(gaps, axis=-1)
-        d = self.d
-        normal = np.zeros(x.shape[:-1] + (d,))
-        coord = np.where(face < d, face, face - d)
-        sign = np.where(face < d, 1.0, -1.0)
-        np.put_along_axis(normal, coord[..., None], sign[..., None], axis=-1)
-        return normal
+        faces = [(j, gaps[..., j]) for gaps in (x - self.lower, self.upper - x)
+                 for j in range(self.d)]
+        dist = faces[0][1]
+        axis = np.zeros(dist.shape, dtype=np.intp)
+        for j, gap in faces[1:]:
+            if self.d > 1:  # with d = 1 every face lies on axis 0
+                axis[gap < dist] = j
+            dist = np.minimum(dist, gap)
+        return dist, axis
 
 
 # ----------------------------- Coefficients -------------------------------- #
@@ -250,6 +245,7 @@ def _checked(name: str, out, shape: tuple, x: np.ndarray) -> np.ndarray:
 _FORWARD_STREAM = 0
 _BACKWARD_STREAM = 1
 _U64 = np.uint64
+_CHUNK_WORDS = 2 ** 20   # a multiple of 4: every chunk starts a Philox block
 
 
 def _gaussian_words(seed: int, stream: int, start: int, count: int) -> np.ndarray:
@@ -317,8 +313,13 @@ def sample_noise(seed: int, M: int, grid: TimeGrid, d: int, l: int) -> NoiseBund
     M, d, l = int(M), int(d), int(l)
     root_h = np.sqrt(grid.h)
 
-    fwd = _gaussian_words(seed, _FORWARD_STREAM, 0, M * grid.N * d)
-    fwd = (fwd * root_h).reshape(M, grid.N, d)
+    # chunked, so the Philox and ndtri temporaries stay a fixed size
+    fwd = np.empty(M * grid.N * d)
+    for start in range(0, fwd.size, _CHUNK_WORDS):
+        chunk = fwd[start:start + _CHUNK_WORDS]
+        np.multiply(_gaussian_words(seed, _FORWARD_STREAM, start, chunk.size),
+                    root_h, out=chunk)
+    fwd = fwd.reshape(M, grid.N, d)
     bwd = _gaussian_words(seed, _BACKWARD_STREAM, 0, grid.N * l)
     bwd = (bwd * root_h).reshape(grid.N, l)
     fwd.setflags(write=False)

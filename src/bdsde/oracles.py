@@ -233,7 +233,7 @@ def midpoint_lattice(domain: Domain, count: int = 29) -> tuple:
     count nodes per dimension at cell centers; weights are the uniform
     cell volumes, so sum(w f(x)) approximates the integral over the box.
     """
-    if domain.is_whole_space:
+    if not (np.isfinite(domain.lower).all() and np.isfinite(domain.upper).all()):
         raise InvalidParameterError("a bounded box is needed for the spatial lattice")
     if int(count) != count or count < 1:
         raise InvalidParameterError(f"lattice resolution must be >= 1, got {count!r}")

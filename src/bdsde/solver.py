@@ -158,7 +158,7 @@ def y_step(
     if picard_iterations == 0:
         y_fn = fit_cells(partition, cells, base)
     else:
-        x_live, z_live, cells_live = paths.states[rows, n], z_n[rows], cells[rows]
+        x_live, z_live, cells_live = paths.states[n, rows], z_n[rows], cells[rows]
         t_n = float(paths.grid.times[n])
         coef = np.zeros((partition.total_cells, coeffs.k))
         hf = np.zeros_like(base)
@@ -221,14 +221,14 @@ def backward_induction(
     y_funcs: list = [None] * (N + 1)
     z_funcs: list = [None] * N
     residuals = np.zeros((N, I))
-    y_funcs[N] = project(partition, paths.states[:, N], term)
+    y_funcs[N] = project(partition, paths.states[N], term)
 
     # cell ids of the time-n states, computed once per step; the ids of
     # step n+1 are kept one step longer to read z_{n+1} at X_{n+1}
     cells_next: Optional[Array] = None
     for n in range(N - 1, -1, -1):
         live = paths.live_mask(n)
-        cells = partition.cell_index(paths.states[:, n])
+        cells = partition.cell_index(paths.states[n])
         try:
             # base = y_{n+1} + g(t_{n+1}, X_{n+1}, y_{n+1}, z_{n+1}(X_{n+1})) dW_n
             # on live paths, shared by the z- and the y-regression
@@ -237,7 +237,7 @@ def backward_induction(
             if run_coeffs.g is not None and rows.size:
                 z_next = (np.zeros((rows.size, k, d)) if n == N - 1
                           else gather(z_funcs[n + 1].coefficients, cells_next[rows]))
-                gv = run_coeffs.eval_g(float(grid.times[n + 1]), paths.states[rows, n + 1],
+                gv = run_coeffs.eval_g(float(grid.times[n + 1]), paths.states[n + 1, rows],
                                        y_values[n + 1][rows], z_next)
                 base[rows] += gv @ noise.backward[n]
             z_funcs[n], z_values[n] = z_step(n, paths, cells, base,
@@ -318,7 +318,7 @@ def strong_error(
         live = paths.live_mask(n)
         if not live.any():
             continue
-        x = paths.states[live, n]
+        x = paths.states[n, live]
         t = float(grid.times[n])
         dy = np.asarray(reference_y(t, x), dtype=np.float64) - solution.y_values[n][live]
         worst_y = max(worst_y, float(np.mean(np.sum(dy * dy, axis=-1))))

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from bdsde import experiments
 from bdsde import (
     CoefficientSet,
     ConfigError,
@@ -228,6 +229,35 @@ def test_repeat_runs_thread_count_never_changes_values():
     serial = repeat_runs(cfg, 4)
     pooled = repeat_runs(cfg, 4, threads=3)
     assert serial.values == pooled.values
+
+
+def test_repetition_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
+    # a stand-in pool records its size and runs serially: no thread starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
+    cfg = ExperimentConfig(**base_kwargs(M=64))
+    serial = repeat_runs(cfg, 3)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    for threads in (10 ** 9, 2, 3):
+        assert repeat_runs(cfg, 3, threads=threads).values == serial.values
+    assert repeat_runs(cfg, 6, threads=10 ** 9).values[:3] == serial.values
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert repeat_runs(cfg, 3, threads=8).values == serial.values
+    assert sizes == [3, 2, 3, 4]
 
 
 def test_std_matches_two_pass_formula():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 import bdsde.forward
 from bdsde import (
+    C0,
     CoefficientSet,
     Domain,
     EvaluationError,
@@ -89,7 +90,7 @@ def test_whole_space_never_exits():
     assert not ps.exit_detected.any()
     assert (ps.exit_time == 0.25).all()
     # no freezing: consecutive states differ almost surely
-    assert (np.diff(ps.states[:, :, 0], axis=1) != 0.0).all()
+    assert (np.diff(ps.states[:, :, 0], axis=0) != 0.0).all()
 
 
 def test_constant_path_survives():
@@ -115,8 +116,23 @@ def test_states_frozen_after_exit_bit_exactly():
     assert ps.exit_detected.any() and not ps.exit_detected.all()
     for m in np.nonzero(ps.exit_detected)[0][:200]:
         e = ps.exit_index[m]
-        assert (ps.states[m, e:] == ps.states[m, e]).all()
-        assert np.array_equal(ps.exit_state[m], ps.states[m, e])
+        assert (ps.states[e:, m] == ps.states[e, m]).all()
+        assert np.array_equal(ps.exit_state[m], ps.states[e, m])
+
+
+@pytest.mark.parametrize("case", ["d1-box", "d2-box", "d2-corner-ties"])
+def test_states_are_time_major_and_frozen_after_exit(case):
+    coeffs, dom, x0 = _FORWARD_CASES[case]
+    g = build_grid(0.25, 40)
+    nb = sample_noise(37, 500, g, coeffs.d, 1)
+    ps = simulate_stopped(coeffs, g, dom, nb, x0)
+    assert ps.states.shape == (41, 500, coeffs.d) and ps.M == 500
+    assert ps.states[0].flags.c_contiguous
+    frozen = np.arange(41)[:, None] >= ps.exit_index[None, :]
+    held = np.broadcast_to(ps.states[ps.exit_index, np.arange(500)], ps.states.shape)
+    assert np.array_equal(ps.states[frozen], held[frozen])
+    assert np.array_equal(ps.exit_state, held[0])
+    assert ps.exit_detected.any()
 
 
 def test_pre_exit_states_clear_the_shift_collar():
@@ -127,9 +143,9 @@ def test_pre_exit_states_clear_the_shift_collar():
     ps = simulate_stopped(c, g, dom, nb, [100.0], shift_enabled=True)
     for i in range(1, 20):
         live = ps.exit_index > i
-        x = ps.states[live, i]
+        x = ps.states[i, live]
         w = shift_width(dom, x, c.sigma, g.h)
-        assert (dom.boundary_distance(x) > w).all()
+        assert (dom.nearest_face(x)[0] > w).all()
 
 
 def test_disabling_shift_never_shortens_paths():
@@ -150,7 +166,7 @@ def test_path_permutation_equivariance():
     perm = np.random.default_rng(0).permutation(64)
     nb_p = dataclasses.replace(nb, forward=nb.forward[perm])
     shuffled = simulate_stopped(gbm_coeffs(), g, dom, nb_p, [100.0])
-    assert np.array_equal(shuffled.states, base.states[perm])
+    assert np.array_equal(shuffled.states, base.states[:, perm])
     assert np.array_equal(shuffled.exit_index, base.exit_index[perm])
 
 
@@ -188,24 +204,43 @@ def test_wide_box_exit_probability_is_small():
 
 # --------------------- one exit test, checked against the old loop ---------- #
 
+def reference_distance(domain, x):
+    """Test-only copy of the earlier face scan: min over the concatenated
+    gaps of the 2d faces."""
+    return np.min(np.concatenate([x - domain.lower, domain.upper - x], axis=-1), axis=-1)
+
+
+def reference_width(domain, x, sigma, h):
+    """Test-only copy of the earlier shift: the inward normal built from the
+    argmin face, then |n^T sigma(x)| through an einsum."""
+    gaps = np.concatenate([x - domain.lower, domain.upper - x], axis=-1)
+    face = np.argmin(gaps, axis=-1)
+    d = domain.d
+    normal = np.zeros(x.shape)
+    sign = np.where(face < d, 1.0, -1.0)
+    np.put_along_axis(normal, (face % d)[:, None], sign[:, None], axis=-1)
+    row = np.einsum("mi,mij->mj", normal, sigma(x))
+    return C0 * np.sqrt(h) * np.linalg.norm(row, axis=-1)
+
+
 def reference_stopped(coeffs, grid, domain, noise, x0, shift_enabled=True):
-    """Test-only copy of the earlier simulation loop: index arrays of alive
-    and frozen paths, a start-point collar check of its own, and a membership
-    helper with a whole-space branch."""
+    """Test-only copy of the earlier simulation loop: path-major (M, N+1, d)
+    states, index arrays of alive and frozen paths, a start-point collar
+    check of its own, and a membership helper with a whole-space branch."""
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     x0row = x0[None, :]
     if not domain.contains(x0row)[0]:
         raise InvalidStartError("outside the open domain")
     if shift_enabled and not domain.is_whole_space:
-        w0 = shift_width(domain, x0row, coeffs.sigma, grid.h)[0]
-        if not domain.boundary_distance(x0row)[0] > w0:
+        w0 = reference_width(domain, x0row, coeffs.sigma, grid.h)[0]
+        if not reference_distance(domain, x0row)[0] > w0:
             raise InvalidStartError("boundary shift")
 
     def inside_shifted(x):
         if domain.is_whole_space:
             return np.ones(x.shape[0], dtype=bool)
-        width = shift_width(domain, x, coeffs.sigma, grid.h) if shift_enabled else 0.0
-        return domain.boundary_distance(x) > width
+        width = reference_width(domain, x, coeffs.sigma, grid.h) if shift_enabled else 0.0
+        return reference_distance(domain, x) > width
 
     M, N = noise.M, grid.N
     states = np.empty((M, N + 1, coeffs.d))
@@ -265,7 +300,7 @@ def test_simulation_matches_alive_frozen_reference_bitwise(case, shift):
     nb = sample_noise(31, 1000, g, coeffs.d, 1)
     ps = simulate_stopped(coeffs, g, dom, nb, x0, shift_enabled=shift)
     states, exit_index, exit_detected = reference_stopped(coeffs, g, dom, nb, x0, shift)
-    assert np.array_equal(ps.states, states)
+    assert np.array_equal(ps.states, states.transpose(1, 0, 2))
     assert np.array_equal(ps.exit_index, exit_index)
     assert np.array_equal(ps.exit_detected, exit_detected)
     if case == "d1-all-exit":
@@ -284,7 +319,7 @@ def test_start_on_the_shifted_boundary_is_refused():
     g = build_grid(0.25, 4)
     nb = sample_noise(3, 4, g, 1, 1)
     w = shift_width(dom, np.array([[1.0]]), coeffs.sigma, g.h)[0]
-    assert dom.boundary_distance(np.array([[w]]))[0] == w
+    assert dom.nearest_face(np.array([[w]]))[0][0] == w
     with pytest.raises(InvalidStartError, match="boundary shift"):
         simulate_stopped(coeffs, g, dom, nb, [w])
     simulate_stopped(coeffs, g, dom, nb, [np.nextafter(w, 1.0)])
@@ -348,7 +383,7 @@ def test_start_refused_exactly_within_the_shift(d, lo, span, frac, vol, N, shift
     nb = sample_noise(0, 1, g, d, 1)
     assert dom.contains(x0[None, :])[0]
     width = shift_width(dom, x0[None, :], coeffs.sigma, g.h)[0]
-    if shift and dom.boundary_distance(x0[None, :])[0] <= width:
+    if shift and dom.nearest_face(x0[None, :])[0][0] <= width:
         with pytest.raises(InvalidStartError, match="boundary shift"):
             simulate_stopped(coeffs, g, dom, nb, x0, shift_enabled=shift)
     else:

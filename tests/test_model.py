@@ -1,8 +1,12 @@
 """Grid, domain, coefficient and noise-layer contracts, and the package
 export list."""
 
+import tracemalloc
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import bdsde
 from bdsde import (
@@ -62,7 +66,7 @@ def test_whole_space_distance_infinite():
     dom = Domain.whole_space(2)
     x = np.array([[1.0, -3.0]])
     assert dom.contains(x).all()
-    assert np.isinf(dom.boundary_distance(x)).all()
+    assert np.isinf(dom.nearest_face(x)[0]).all()
 
 
 def test_whole_space_is_the_box_with_infinite_bounds():
@@ -72,28 +76,50 @@ def test_whole_space_is_the_box_with_infinite_bounds():
     # the box formulas: every finite point is inside, a non-finite one is not
     x = np.array([[1e308, -1e308], [np.inf, 0.0], [0.0, np.nan]])
     assert list(ws.contains(x)) == [True, False, False]
-    with pytest.raises(InvalidParameterError, match="no boundary normal"):
-        ws.inward_normal(x[:1])
+    # every face gap is +inf, so the strict scan never moves off face 0
+    dist, axis = ws.nearest_face(x[:1])
+    assert dist[0] == np.inf and axis[0] == 0
 
 
 def test_boundary_distance_and_normal_2d():
     dom = Domain.box([0.0, 0.0], [10.0, 4.0])
     x = np.array([[1.0, 2.0], [9.5, 2.0], [5.0, 3.9], [5.0, 0.5]])
-    assert dom.boundary_distance(x) == pytest.approx([1.0, 0.5, 0.1, 0.5])
-    n = dom.inward_normal(x)
-    assert n[0] == pytest.approx([1.0, 0.0])    # near lower x-face
-    assert n[1] == pytest.approx([-1.0, 0.0])   # near upper x-face
-    assert n[2] == pytest.approx([0.0, -1.0])
-    assert n[3] == pytest.approx([0.0, 1.0])
+    dist, axis = dom.nearest_face(x)
+    assert dist == pytest.approx([1.0, 0.5, 0.1, 0.5])
+    # near the lower x-face, the upper x-face, the upper and the lower y-face
+    assert list(axis) == [0, 0, 1, 1]
+    assert dom.nearest_face(np.array([[-1.0, 2.0], [5.0, 4.5]]))[0] == pytest.approx([-1.0, -0.5])
 
 
 def test_corner_tie_breaks_to_lowest_coordinate():
     dom = Domain.box([0.0, 0.0], [4.0, 4.0])
-    n = dom.inward_normal(np.array([[1.0, 1.0]]))  # equidistant corner
-    assert n[0] == pytest.approx([1.0, 0.0])
+    assert dom.nearest_face(np.array([[1.0, 1.0]]))[1][0] == 0  # equidistant corner
     # dead centre: every face ties, lower face of coordinate 0 wins
-    n = dom.inward_normal(np.array([[2.0, 2.0]]))
-    assert n[0] == pytest.approx([1.0, 0.0])
+    assert dom.nearest_face(np.array([[2.0, 2.0]]))[1][0] == 0
+    # lower faces come first: the lower y-face beats the tied upper x-face
+    assert dom.nearest_face(np.array([[3.0, 1.0]]))[1][0] == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 3), data=st.data())
+def test_nearest_face_matches_the_concatenated_scan(d, data):
+    # a coarse lattice makes ties between faces common
+    coords = st.integers(-2, 10).map(float)
+    x = np.array(data.draw(st.lists(st.lists(coords, min_size=d, max_size=d),
+                                    min_size=1, max_size=20)))
+    dom = Domain.box([0.0] * d, [float(data.draw(st.integers(1, 8)))] * d)
+    gaps = np.concatenate([x - dom.lower, dom.upper - x], axis=-1)
+    dist, axis = dom.nearest_face(x)
+    assert np.array_equal(dist, np.min(gaps, axis=-1))
+    assert np.array_equal(axis, np.argmin(gaps, axis=-1) % d)
+
+
+def test_domain_and_grid_compare_by_identity():
+    for make in (lambda: Domain.box([0.0, 0.0], [1.0, 1.0]),
+                 lambda: Domain.whole_space(2), lambda: build_grid(0.25, 4)):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 def test_box_rejects_bad_bounds():
@@ -188,6 +214,28 @@ def test_noise_isolated_regeneration_bit_exact():
         assert np.array_equal(forward_increment(nb, m, i), nb.forward[m, i])
     for i in range(8):
         assert np.array_equal(backward_increment(nb, i), nb.backward[i])
+
+
+def test_chunked_noise_equals_one_shot_draw():
+    # 8195 * 256 words = 2 chunks of 2^20 plus a ragged tail of 768
+    g = build_grid(1.0, 256)
+    nb = sample_noise(5, 8195, g, 1, 1)
+    whole = _gaussian_words(5, _FORWARD_STREAM, 0, 8195 * 256) * np.sqrt(g.h)
+    assert nb.forward.shape == (8195, 256, 1)
+    assert nb.forward.tobytes() == whole.tobytes()
+
+
+def test_noise_temporaries_do_not_scale_with_the_draw():
+    # 16384 * 256 words = 32 MB of forward noise; a one-shot draw holds
+    # twice that in temporaries, the chunked one a fixed ~24 MB
+    g = build_grid(1.0, 256)
+    tracemalloc.start()
+    try:
+        nb = sample_noise(1, 16384, g, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - nb.forward.nbytes - nb.backward.nbytes <= 32 * 2 ** 20
 
 
 def test_backward_path_independent_of_path_count():

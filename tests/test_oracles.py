@@ -369,6 +369,14 @@ def test_midpoint_lattice_geometry():
         midpoint_lattice(Domain.whole_space(1))
 
 
+def test_midpoint_lattice_refuses_any_infinite_bound():
+    # the dataclass constructor admits half-infinite boxes that Domain.box refuses
+    for lower, upper in (([-np.inf], [1.0]), ([0.0, 0.0], [1.0, np.inf])):
+        dom = Domain(lower=np.array(lower), upper=np.array(upper))
+        with pytest.raises(InvalidParameterError, match="bounded box"):
+            midpoint_lattice(dom)
+
+
 def test_spde_error_trivial_cases():
     grid = build_grid(0.25, 4)
     points, weights = midpoint_lattice(Domain.box([60.0], [200.0]), 5)

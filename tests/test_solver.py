@@ -117,7 +117,7 @@ def _two_path_set(dB):
     """Two stationary paths in one cell with prescribed increments."""
     g = build_grid(1.0, 1)
     states = np.full((2, 2, 1), 0.5)
-    states[:, 1, 0] = 0.5  # dynamics irrelevant; regression uses states[:, 0]
+    states[1, :, 0] = 0.5  # dynamics irrelevant; regression uses states[0]
     return g, PathSet(
         grid=g, states=states,
         exit_index=np.array([1, 1]), exit_detected=np.array([False, False]),
@@ -129,7 +129,7 @@ def test_z_step_antithetic_increments_cancel():
     grid, ps = _two_path_set(a)
     part = build_partition([0.0], [1.0], 1.0)
     y_next = np.full((2, 1), 4.25)
-    cells = part.cell_index(ps.states[:, 0])
+    cells = part.cell_index(ps.states[0])
     z_fn, realized = z_step(0, ps, cells, y_next, np.array([[a], [-a]]), part)
     assert z_fn.coefficients[0, 0, 0] == 0.0   # exact cancellation
     assert (realized == 0.0).all()
@@ -147,7 +147,7 @@ def test_y_step_zero_iterations_skips_driver():
                        sigma=lambda x: np.ones(x.shape + (1,)),
                        f=poisoned, phi=lambda t, x: x)
     y_next = np.array([[2.0], [6.0]])
-    cells = part.cell_index(ps.states[:, 0])
+    cells = part.cell_index(ps.states[0])
     y_fn, realized, res = y_step(0, ps, cells, y_next, np.zeros((2, 1, 1)),
                                  c, part, 0)
     assert y_fn.coefficients[0, 0] == pytest.approx(4.0)
@@ -167,7 +167,7 @@ def reference_backward(coeffs, grid, paths, noise, partition, mode, I):
     if mode == "bsde":
         coeffs = dataclasses.replace(coeffs, g=None)
     N, M, k, d = grid.N, paths.M, coeffs.k, coeffs.d
-    states = paths.states
+    states = paths.states.transpose(1, 0, 2)  # path-major, as the old loop read it
     y_values = np.empty((N + 1, M, k))
     z_values = np.zeros((N + 1, M, k, d))
     y_values[N] = terminal_values(paths, coeffs)
@@ -290,7 +290,7 @@ def test_out_of_range_counts_reported_per_step():
         sol = solve(reference_coeffs(g=g_linear), g, dom, nb, [100.0], part,
                     SolverConfig(mode="bdsde-random-terminal"))
         diag = sol.diagnostics
-        outside = np.stack([part.cell_index(sol.paths.states[:, n]) < 0
+        outside = np.stack([part.cell_index(sol.paths.states[n]) < 0
                             for n in range(21)])
         live = np.stack([sol.paths.live_mask(n) for n in range(20)])
         assert np.array_equal(diag.out_of_range_y, outside.sum(axis=1))
