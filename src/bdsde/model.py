@@ -12,12 +12,15 @@ scheme:
 Increment generation is counter-based: every Gaussian coordinate owns a fixed
 position in a Philox word stream keyed by (seed, stream), so any single
 increment can be regenerated in isolation, bit-exactly, without materialising
-the rest of the bundle.  Determinism is therefore independent of path order
-and of thread scheduling.
+the rest of the bundle.  Word w maps to ndtri(((w >> 11) + 0.5) * 2^-53),
+computed in place as (w >> 11) * 2^-53 + 2^-54 (see ``_gaussian_words``), so
+determinism is independent of path order, thread scheduling and worker count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -244,24 +247,26 @@ def _checked(name: str, out, shape: tuple, x: np.ndarray) -> np.ndarray:
 
 _FORWARD_STREAM = 0
 _BACKWARD_STREAM = 1
-_U64 = np.uint64
-_CHUNK_WORDS = 2 ** 20   # a multiple of 4: every chunk starts a Philox block
+_CHUNK_WORDS = 2 ** 18   # a multiple of 4: every chunk starts a Philox block
+
+
+def _fill_gaussians(out: np.ndarray, seed: int, stream: int, start: int) -> np.ndarray:
+    """``_gaussian_words`` written in place into ``out``, which it returns."""
+    block, offset = divmod(start, 4)
+    bg = np.random.Philox(key=int(seed) + (int(stream) << 64), counter=block)
+    bg.random_raw(offset)
+    np.random.Generator(bg).random(out=out)
+    out += 2.0 ** -54
+    return ndtri(out, out=out)
 
 
 def _gaussian_words(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """``count`` standard Gaussians from word positions start..start+count-1.
-
-    Philox emits 4 words per counter block, so the generator is positioned on
-    the block containing ``start`` and the offset is trimmed.  Each word maps
-    through u = ((w >> 11) + 0.5) * 2^-53 (strictly inside (0,1)) and the
-    inverse normal CDF; one word per Gaussian, so positions never shift.
-    """
-    block, offset = divmod(start, 4)
-    key = int(seed) + (int(stream) << 64)
-    bg = np.random.Philox(key=key, counter=block)
-    raw = bg.random_raw(offset + count)[offset:]
-    u = ((raw >> _U64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    return ndtri(u)
+    """``count`` standard Gaussians from word positions start..start+count-1:
+    the generator starts on the Philox block (4 words) of ``start`` and skips
+    the offset.  u = (w >> 11) * 2^-53 + 2^-54 rounds as ((w >> 11) + 0.5) *
+    2^-53 (scaling by 2^-53 is exact) and lies in (0, 1]: only w >> 11 =
+    2^53 - 1 gives u = 1, hence +inf, under the inverse normal CDF."""
+    return _fill_gaussians(np.empty(count), seed, stream, start)
 
 
 @dataclass(frozen=True)
@@ -313,15 +318,24 @@ def sample_noise(seed: int, M: int, grid: TimeGrid, d: int, l: int) -> NoiseBund
     M, d, l = int(M), int(d), int(l)
     root_h = np.sqrt(grid.h)
 
-    # chunked, so the Philox and ndtri temporaries stay a fixed size
     fwd = np.empty(M * grid.N * d)
-    for start in range(0, fwd.size, _CHUNK_WORDS):
-        chunk = fwd[start:start + _CHUNK_WORDS]
-        np.multiply(_gaussian_words(seed, _FORWARD_STREAM, start, chunk.size),
-                    root_h, out=chunk)
+
+    def fill(start: int) -> None:
+        chunk = _fill_gaussians(fwd[start:start + _CHUNK_WORDS], seed, _FORWARD_STREAM, start)
+        chunk *= root_h
+
+    # disjoint slices of one array, each chunk on its own Philox counter; a
+    # single worker fills in this thread, as a pool thread only adds start-up
+    starts = range(0, fwd.size, _CHUNK_WORDS)
+    workers = min(len(starts), os.cpu_count() or 1)
+    if workers == 1:
+        list(map(fill, starts))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, starts))
     fwd = fwd.reshape(M, grid.N, d)
-    bwd = _gaussian_words(seed, _BACKWARD_STREAM, 0, grid.N * l)
-    bwd = (bwd * root_h).reshape(grid.N, l)
+    bwd = _gaussian_words(seed, _BACKWARD_STREAM, 0, grid.N * l).reshape(grid.N, l)
+    bwd *= root_h
     fwd.setflags(write=False)
     bwd.setflags(write=False)
     return NoiseBundle(seed=int(seed), grid=grid, M=M, d=d, l=l, forward=fwd, backward=bwd)

@@ -3,11 +3,14 @@
 import csv
 import dataclasses
 import json
+from unittest import mock
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from bdsde import experiments
+from bdsde import experiments, model
 from bdsde import (
     CoefficientSet,
     ConfigError,
@@ -258,6 +261,19 @@ def test_repetition_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
     assert repeat_runs(cfg, 3, threads=8).values == serial.values
     assert sizes == [3, 2, 3, 4]
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), reps=st.integers(2, 4),
+       threads=st.sampled_from([1, 2, 3]))
+def test_y0_does_not_depend_on_batching_across_threads(seed, reps, threads):
+    # 4 CPUs, so 3 repetitions really run at once, and 64-word noise chunks,
+    # so every repetition fills its noise on a pool nested in its own thread
+    cfg = ExperimentConfig(**base_kwargs(M=64, seed=seed))
+    serial = repeat_runs(cfg, reps)
+    with mock.patch.object(experiments.os, "cpu_count", lambda: 4), \
+            mock.patch.object(model, "_CHUNK_WORDS", 64):
+        assert repeat_runs(cfg, reps, threads=threads).values == serial.values
 
 
 def test_std_matches_two_pass_formula():

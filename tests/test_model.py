@@ -6,9 +6,11 @@ import tracemalloc
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from scipy.special import ndtri
 
 import bdsde
+from bdsde import model
 from bdsde import (
     CoefficientSet,
     Domain,
@@ -216,8 +218,48 @@ def test_noise_isolated_regeneration_bit_exact():
         assert np.array_equal(backward_increment(nb, i), nb.backward[i])
 
 
+def reference_gaussians(seed, stream, start, count):
+    """The word-to-Gaussian mapping written out with its temporaries:
+    u = ((w >> 11) + 0.5) * 2^-53, then the inverse normal CDF."""
+    block, offset = divmod(start, 4)
+    bg = np.random.Philox(key=seed + (stream << 64), counter=block)
+    raw = bg.random_raw(offset + count)[offset:]
+    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       stream=st.sampled_from([_FORWARD_STREAM, _BACKWARD_STREAM]),
+       start=st.integers(0, 2 ** 40), count=st.integers(1, 600))
+@example(seed=0, stream=_FORWARD_STREAM, start=3, count=1)
+@example(seed=2 ** 64 - 1, stream=_BACKWARD_STREAM, start=4 * 2 ** 38 + 1, count=7)
+def test_gaussian_words_equal_the_reference_transform(seed, stream, start, count):
+    got = _gaussian_words(seed, stream, start, count)
+    assert got.tobytes() == reference_gaussians(seed, stream, start, count).tobytes()
+
+
+def test_generator_random_reads_the_same_philox_words():
+    key = 12345 + (_BACKWARD_STREAM << 64)
+    raw = np.random.Philox(key=key, counter=7).random_raw(1001)
+    u = np.random.Generator(np.random.Philox(key=key, counter=7)).random(1001)
+    assert u.tobytes() == ((raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53).tobytes()
+
+
+def test_half_ulp_offset_rounds_like_the_reference_on_crafted_words():
+    # no key is known to emit these words, so the two float steps of the fill
+    # (Generator.random's k * 2^-53, then + 2^-54) are applied to them directly;
+    # k = w >> 11 sits where k + 0.5 stops being exact (2^52) and at the top
+    k = np.array([0, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 1], dtype=np.uint64)
+    words = (k << np.uint64(11)) | np.uint64(2 ** 11 - 1)  # the low bits are dropped
+    ref = ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+    u = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    u += 2.0 ** -54
+    assert ndtri(u).tobytes() == ref.tobytes()
+    assert np.isfinite(ref[:-1]).all() and ref[-1] == np.inf  # top k rounds to u = 1
+
+
 def test_chunked_noise_equals_one_shot_draw():
-    # 8195 * 256 words = 2 chunks of 2^20 plus a ragged tail of 768
+    # 8195 * 256 words = 8 chunks of 2^18 plus a ragged tail of 768
     g = build_grid(1.0, 256)
     nb = sample_noise(5, 8195, g, 1, 1)
     whole = _gaussian_words(5, _FORWARD_STREAM, 0, 8195 * 256) * np.sqrt(g.h)
@@ -225,9 +267,38 @@ def test_chunked_noise_equals_one_shot_draw():
     assert nb.forward.tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("M, N, d, l", [(8195, 256, 1, 1), (3001, 100, 3, 2)])
+def test_noise_bytes_do_not_depend_on_the_worker_count(monkeypatch, M, N, d, l):
+    # the stand-in records its size and is the real pool, so chunks are
+    # filled concurrently, up to 8 threads on however many CPUs there are
+    sizes = []
+
+    class RecordingPool(model.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(model, "ThreadPoolExecutor", RecordingPool)
+    g = build_grid(1.0, N)
+    words = M * N * d
+    chunks = -(-words // model._CHUNK_WORDS)
+    assert chunks > 2 and words % model._CHUNK_WORDS  # a ragged tail
+    fwd = (reference_gaussians(5, _FORWARD_STREAM, 0, words) * np.sqrt(g.h)).tobytes()
+    bwd = (reference_gaussians(5, _BACKWARD_STREAM, 0, N * l) * np.sqrt(g.h)).tobytes()
+    for cpus in (None, 1, 2, 8):
+        monkeypatch.setattr(model.os, "cpu_count", lambda: cpus)
+        nb = sample_noise(5, M, g, d, l)
+        assert nb.forward.tobytes() == fwd and nb.backward.tobytes() == bwd
+    # one worker (no CPU count, 1 CPU, or one chunk even with 8 CPUs) fills
+    # in the calling thread: no pool starts
+    small = sample_noise(5, 64, g, d, l)
+    assert small.forward.tobytes() == fwd[:small.forward.nbytes]
+    assert sizes == [2, min(chunks, 8)]
+
+
 def test_noise_temporaries_do_not_scale_with_the_draw():
-    # 16384 * 256 words = 32 MB of forward noise; a one-shot draw holds
-    # twice that in temporaries, the chunked one a fixed ~24 MB
+    # 16384 * 256 words = 32 MB of forward noise, transformed in place: what
+    # is left is a generator and a few small objects per chunk
     g = build_grid(1.0, 256)
     tracemalloc.start()
     try:
@@ -235,7 +306,7 @@ def test_noise_temporaries_do_not_scale_with_the_draw():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - nb.forward.nbytes - nb.backward.nbytes <= 32 * 2 ** 20
+    assert peak - nb.forward.nbytes - nb.backward.nbytes <= 2 ** 20
 
 
 def test_backward_path_independent_of_path_count():
