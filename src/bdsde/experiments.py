@@ -14,11 +14,10 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union,
+                    get_args, get_origin, get_type_hints)
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .model import (
     Domain,
     InvalidParameterError,
     TimeGrid,
+    _map_on_cpus,
     build_grid,
     sample_noise,
 )
@@ -102,14 +102,6 @@ def make_payoff(K: float) -> Callable[..., np.ndarray]:
 
 
 # ------------------------------- configuration ----------------------------- #
-
-_INT_FIELDS = ("N", "M", "I", "seed", "R_runs", "j_max", "spatial_points")
-_FLOAT_FIELDS = ("mu", "sigma_coef", "r", "R", "K", "x0", "T",
-                 "domain_lower", "domain_upper", "delta",
-                 "basis_lower", "basis_upper")
-_REQUIRED = ("mu", "sigma_coef", "r", "R", "K", "x0", "T", "domain_lower",
-             "domain_upper", "N", "M", "delta", "g_choice", "mode", "seed")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -210,21 +202,31 @@ def derived_seeds(config: ExperimentConfig, reps: int) -> range:
     return range(config.seed, config.seed + reps)
 
 
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+
+
 def _coerced(name: str, value):
-    if name in _INT_FIELDS:
+    """A JSON value checked against the field's declared type; an Optional
+    field accepts null."""
+    kind = _FIELD_TYPES[name]
+    if get_origin(kind) is Union:
+        if value is None:
+            return None
+        kind = next(t for t in get_args(kind) if t is not type(None))
+    if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         return value
-    if name in _FLOAT_FIELDS:
+    if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number, got {value!r}")
         out = float(value)
         if not math.isfinite(out):
             raise ConfigError(f"{name} must be finite, got {value!r}")
         return out
-    if name == "shift_enabled":
+    if kind is bool:
         if not isinstance(value, bool):
-            raise ConfigError(f"shift_enabled must be true or false, got {value!r}")
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
         return value
     if not isinstance(value, str):
         raise ConfigError(f"{name} must be a string, got {value!r}")
@@ -249,18 +251,15 @@ def load_config(path: str) -> ExperimentConfig:
         ) from err
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a flat JSON object")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = sorted(set(raw) - known)
+    fields = dataclasses.fields(ExperimentConfig)
+    unknown = sorted(set(raw) - {f.name for f in fields})
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    missing = [name for name in _REQUIRED if name not in raw]
+    missing = [f.name for f in fields
+               if f.default is dataclasses.MISSING and f.name not in raw]
     if missing:
         raise ConfigError(f"missing required config key: {missing[0]}")
-    coerced = {}
-    for name, value in raw.items():
-        if value is None and name in ("basis_lower", "basis_upper", "out"):
-            continue
-        coerced[name] = _coerced(name, value)
+    coerced = {name: _coerced(name, value) for name, value in raw.items()}
     if coerced.get("g_choice") == "custom":
         raise ConfigError(
             "g_choice 'custom' cannot be expressed in a config file; use the "
@@ -364,11 +363,7 @@ def _run_set(
                 snap[n] = float(vals[live].mean() if live.any() else vals.mean())
         return snap
 
-    workers = min(threads, R_runs, os.cpu_count() or 1)
-    if workers <= 1:
-        return [one(seed) for seed in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, seeds))
+    return _map_on_cpus(one, seeds, workers=threads)
 
 
 def repeat_runs(

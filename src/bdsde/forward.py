@@ -88,7 +88,7 @@ class PathSet:
 # ------------------------------ elementary ops ----------------------------- #
 
 def shift_width(
-    domain: Domain,
+    axis: Array,
     x: Array,
     sigma: Callable[[Array], Array],
     h: float,
@@ -97,8 +97,8 @@ def shift_width(
 
     Parameters
     ----------
-    domain : Domain
-        Axis-box or whole-space domain; the whole space needs no shift.
+    axis : (M,) int array
+        Axis of the nearest face of each state, from ``Domain.nearest_face``.
     x : (M, d) array
         States at which to evaluate the shift.
     sigma : callable
@@ -108,16 +108,12 @@ def shift_width(
 
     Returns
     -------
-    (M,) array of C0 * sqrt(h) * ||sigma(x)[j, :]||, zero for the whole
-    space.  j is the axis of the nearest face, whose normal is +-e_j, so the
-    row is |n(x)^T sigma(x)|.
+    (M,) array of C0 * sqrt(h) * ||sigma(x)[j, :]||, with j = axis.  The
+    nearest face's normal is +-e_j, so the row is |n(x)^T sigma(x)|.
     """
     if h <= 0.0:
         raise InvalidParameterError(f"step must be positive, got h={h}")
     x = np.asarray(x, dtype=np.float64)
-    if domain.is_whole_space:
-        return np.zeros(x.shape[0])
-    axis = domain.nearest_face(x)[1]
     s = _checked("sigma", sigma(x), x.shape[:-1] + (x.shape[-1],) * 2, x)
     row = s[np.arange(x.shape[0]), axis]
     return C0 * np.sqrt(h) * np.linalg.norm(row, axis=-1)
@@ -171,10 +167,12 @@ def simulate_stopped(
     test_exits = not domain.is_whole_space
 
     def shifted_test(x: Array) -> tuple:
-        """Shift widths at the rows of x and which rows lie strictly inside."""
-        width = (shift_width(domain, x, coeffs.sigma, grid.h) if shift_enabled
+        """Shift widths at the rows of x and which rows lie strictly inside;
+        one face scan gives both the distance and the shift's axis."""
+        dist, axis = domain.nearest_face(x)
+        width = (shift_width(axis, x, coeffs.sigma, grid.h) if shift_enabled
                  else np.zeros(x.shape[0]))
-        return width, domain.nearest_face(x)[0] > width
+        return width, dist > width
 
     if test_exits:
         w0, ok = shifted_test(x0[None, :])

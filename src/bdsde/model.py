@@ -12,8 +12,8 @@ scheme:
 Increment generation is counter-based: every Gaussian coordinate owns a fixed
 position in a Philox word stream keyed by (seed, stream), so any single
 increment can be regenerated in isolation, bit-exactly, without materialising
-the rest of the bundle.  Word w maps to ndtri(((w >> 11) + 0.5) * 2^-53),
-computed in place as (w >> 11) * 2^-53 + 2^-54 (see ``_gaussian_words``), so
+the rest of the bundle.  Word w maps to ndtri(u) with u = ((w >> 11) + 0.5) *
+2^-53, computed in place and clamped below 1 (see ``_fill_gaussians``), so
 determinism is independent of path order, thread scheduling and worker count.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -251,22 +251,31 @@ _CHUNK_WORDS = 2 ** 18   # a multiple of 4: every chunk starts a Philox block
 
 
 def _fill_gaussians(out: np.ndarray, seed: int, stream: int, start: int) -> np.ndarray:
-    """``_gaussian_words`` written in place into ``out``, which it returns."""
+    """Standard Gaussians from word positions start..start+out.size-1, written
+    in place into ``out``, which it returns.
+
+    The generator starts on the Philox block (4 words) of ``start`` and skips
+    the offset.  u = (w >> 11) * 2^-53 + 2^-54 rounds as ((w >> 11) + 0.5) *
+    2^-53 (scaling by 2^-53 is exact); only w >> 11 = 2^53 - 1 rounds up to 1,
+    so u is clamped to 1 - 2^-53 and lies in (0, 1), where the inverse normal
+    CDF is finite."""
     block, offset = divmod(start, 4)
     bg = np.random.Philox(key=int(seed) + (int(stream) << 64), counter=block)
     bg.random_raw(offset)
     np.random.Generator(bg).random(out=out)
     out += 2.0 ** -54
+    np.minimum(out, 1.0 - 2.0 ** -53, out=out)
     return ndtri(out, out=out)
 
 
-def _gaussian_words(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """``count`` standard Gaussians from word positions start..start+count-1:
-    the generator starts on the Philox block (4 words) of ``start`` and skips
-    the offset.  u = (w >> 11) * 2^-53 + 2^-54 rounds as ((w >> 11) + 0.5) *
-    2^-53 (scaling by 2^-53 is exact) and lies in (0, 1]: only w >> 11 =
-    2^53 - 1 gives u = 1, hence +inf, under the inverse normal CDF."""
-    return _fill_gaussians(np.empty(count), seed, stream, start)
+def _map_on_cpus(fn: Callable, items: Sequence, workers: int) -> list:
+    """[fn(item) for item in items] on min(workers, len(items), CPUs) threads;
+    a single worker runs in this thread, as a pool only adds start-up."""
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -318,24 +327,20 @@ def sample_noise(seed: int, M: int, grid: TimeGrid, d: int, l: int) -> NoiseBund
     M, d, l = int(M), int(d), int(l)
     root_h = np.sqrt(grid.h)
 
-    fwd = np.empty(M * grid.N * d)
+    def draw(stream: int, shape: tuple) -> np.ndarray:
+        out = np.empty(shape)
+        flat = out.reshape(-1)
 
-    def fill(start: int) -> None:
-        chunk = _fill_gaussians(fwd[start:start + _CHUNK_WORDS], seed, _FORWARD_STREAM, start)
-        chunk *= root_h
+        def fill(start: int) -> None:
+            chunk = _fill_gaussians(flat[start:start + _CHUNK_WORDS], seed, stream, start)
+            chunk *= root_h
 
-    # disjoint slices of one array, each chunk on its own Philox counter; a
-    # single worker fills in this thread, as a pool thread only adds start-up
-    starts = range(0, fwd.size, _CHUNK_WORDS)
-    workers = min(len(starts), os.cpu_count() or 1)
-    if workers == 1:
-        list(map(fill, starts))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
-    fwd = fwd.reshape(M, grid.N, d)
-    bwd = _gaussian_words(seed, _BACKWARD_STREAM, 0, grid.N * l).reshape(grid.N, l)
-    bwd *= root_h
-    fwd.setflags(write=False)
-    bwd.setflags(write=False)
-    return NoiseBundle(seed=int(seed), grid=grid, M=M, d=d, l=l, forward=fwd, backward=bwd)
+        # disjoint slices of one array, each chunk on its own Philox counter
+        starts = range(0, flat.size, _CHUNK_WORDS)
+        _map_on_cpus(fill, starts, workers=len(starts))
+        out.setflags(write=False)
+        return out
+
+    return NoiseBundle(seed=int(seed), grid=grid, M=M, d=d, l=l,
+                       forward=draw(_FORWARD_STREAM, (M, grid.N, d)),
+                       backward=draw(_BACKWARD_STREAM, (grid.N, l)))

@@ -142,6 +142,33 @@ def test_type_errors_name_the_field(tmp_path):
         load_config(path)
 
 
+# one value of a wrong JSON type per field
+WRONG_TYPE = {
+    "mu": "0.05", "sigma_coef": True, "r": [0.01], "R": None, "K": "115",
+    "x0": {}, "T": True, "domain_lower": "60", "domain_upper": None, "N": 6.0,
+    "M": "256", "delta": None, "g_choice": 1, "mode": None, "seed": True,
+    "I": 3.5, "R_runs": "3", "shift_enabled": 1, "basis_lower": "40",
+    "basis_upper": True, "out": 5, "j_max": None, "spatial_points": 2.0,
+}
+
+
+def test_wrong_type_table_covers_every_field():
+    assert set(WRONG_TYPE) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("field", sorted(WRONG_TYPE))
+def test_every_field_rejects_a_wrong_json_type(tmp_path, field):
+    path = write_config(tmp_path / "c.json", **{field: WRONG_TYPE[field]})
+    with pytest.raises(ConfigError, match=rf"^{field} must be "):
+        load_config(path)
+
+
+@pytest.mark.parametrize("field", ["basis_lower", "basis_upper", "out"])
+def test_optional_fields_accept_null(tmp_path, field):
+    path = write_config(tmp_path / "c.json", **{field: None})
+    assert getattr(load_config(path), field) is None
+
+
 def test_parse_error_reports_line(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{\n  "mu": 0.05,\n  oops\n}')
@@ -251,14 +278,14 @@ def test_repetition_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
         def map(self, fn, items):
             return list(map(fn, items))
 
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(model, "ThreadPoolExecutor", SerialPool)
     cfg = ExperimentConfig(**base_kwargs(M=64))
     serial = repeat_runs(cfg, 3)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(model.os, "cpu_count", lambda: 4)
     for threads in (10 ** 9, 2, 3):
         assert repeat_runs(cfg, 3, threads=threads).values == serial.values
     assert repeat_runs(cfg, 6, threads=10 ** 9).values[:3] == serial.values
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(model.os, "cpu_count", lambda: None)
     assert repeat_runs(cfg, 3, threads=8).values == serial.values
     assert sizes == [3, 2, 3, 4]
 
@@ -271,7 +298,7 @@ def test_y0_does_not_depend_on_batching_across_threads(seed, reps, threads):
     # so every repetition fills its noise on a pool nested in its own thread
     cfg = ExperimentConfig(**base_kwargs(M=64, seed=seed))
     serial = repeat_runs(cfg, reps)
-    with mock.patch.object(experiments.os, "cpu_count", lambda: 4), \
+    with mock.patch.object(model.os, "cpu_count", lambda: 4), \
             mock.patch.object(model, "_CHUNK_WORDS", 64):
         assert repeat_runs(cfg, reps, threads=threads).values == serial.values
 

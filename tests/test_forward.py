@@ -38,7 +38,8 @@ def test_shift_width_reference_value():
     # 1-d box (60, 200) with sigma(x) = 0.2 x at the lower boundary:
     # 0.5826 * sqrt(0.0125) * 0.2 * 60
     dom = Domain.box([60.0], [200.0])
-    w = shift_width(dom, np.array([[60.0]]), gbm_coeffs().sigma, 0.0125)
+    x = np.array([[60.0]])
+    w = shift_width(dom.nearest_face(x)[1], x, gbm_coeffs().sigma, 0.0125)
     assert w[0] == pytest.approx(0.7816399222148265, rel=1e-13)
 
 
@@ -46,10 +47,7 @@ def test_shift_width_degenerate_cases():
     dom = Domain.box([0.0], [1.0])
     x = np.array([[0.3], [0.9]])
     zero_sigma = lambda x: np.zeros(x.shape + (1,))
-    assert shift_width(dom, x, zero_sigma, 0.01) == pytest.approx([0.0, 0.0])
-    ws = Domain.whole_space(2)
-    w = shift_width(ws, np.zeros((3, 2)), lambda x: np.broadcast_to(np.eye(2), (3, 2, 2)), 0.01)
-    assert w == pytest.approx([0.0, 0.0, 0.0])
+    assert shift_width(dom.nearest_face(x)[1], x, zero_sigma, 0.01) == pytest.approx([0.0, 0.0])
 
 
 # ------------------------------ euler step --------------------------------- #
@@ -144,8 +142,27 @@ def test_pre_exit_states_clear_the_shift_collar():
     for i in range(1, 20):
         live = ps.exit_index > i
         x = ps.states[i, live]
-        w = shift_width(dom, x, c.sigma, g.h)
-        assert (dom.nearest_face(x)[0] > w).all()
+        dist, axis = dom.nearest_face(x)
+        assert (dist > shift_width(axis, x, c.sigma, g.h)).all()
+
+
+def test_one_face_scan_per_step(monkeypatch):
+    # a box far wider than the paths spread: every path runs all N steps, and
+    # each step's exit test and shift share one scan, as does the start check
+    calls = []
+    scan = Domain.nearest_face
+
+    def counted(self, x):
+        calls.append(np.shape(x)[0])
+        return scan(self, x)
+
+    monkeypatch.setattr(Domain, "nearest_face", counted)
+    g = build_grid(0.25, 20)
+    nb = sample_noise(13, 64, g, 1, 1)
+    ps = simulate_stopped(gbm_coeffs(), g, Domain.box([1.0], [1000.0]), nb, [100.0],
+                          shift_enabled=True)
+    assert not ps.exit_detected.any()
+    assert calls == [1] + [64] * 20
 
 
 def test_disabling_shift_never_shortens_paths():
@@ -318,7 +335,8 @@ def test_start_on_the_shifted_boundary_is_refused():
     dom = Domain.box([0.0], [10.0])
     g = build_grid(0.25, 4)
     nb = sample_noise(3, 4, g, 1, 1)
-    w = shift_width(dom, np.array([[1.0]]), coeffs.sigma, g.h)[0]
+    x = np.array([[1.0]])
+    w = shift_width(dom.nearest_face(x)[1], x, coeffs.sigma, g.h)[0]
     assert dom.nearest_face(np.array([[w]]))[0][0] == w
     with pytest.raises(InvalidStartError, match="boundary shift"):
         simulate_stopped(coeffs, g, dom, nb, [w])
@@ -382,8 +400,9 @@ def test_start_refused_exactly_within_the_shift(d, lo, span, frac, vol, N, shift
     g = build_grid(1.0, N)
     nb = sample_noise(0, 1, g, d, 1)
     assert dom.contains(x0[None, :])[0]
-    width = shift_width(dom, x0[None, :], coeffs.sigma, g.h)[0]
-    if shift and dom.nearest_face(x0[None, :])[0][0] <= width:
+    dist, axis = dom.nearest_face(x0[None, :])
+    width = shift_width(axis, x0[None, :], coeffs.sigma, g.h)[0]
+    if shift and dist[0] <= width:
         with pytest.raises(InvalidStartError, match="boundary shift"):
             simulate_stopped(coeffs, g, dom, nb, x0, shift_enabled=shift)
     else:

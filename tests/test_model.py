@@ -19,7 +19,7 @@ from bdsde import (
     build_grid,
     sample_noise,
 )
-from bdsde.model import _BACKWARD_STREAM, _FORWARD_STREAM, _gaussian_words
+from bdsde.model import _BACKWARD_STREAM, _FORWARD_STREAM, _fill_gaussians
 
 
 # ------------------------------ time grid --------------------------------- #
@@ -193,17 +193,22 @@ def test_noise_determinism_and_seed_sensitivity():
     assert not np.array_equal(a.backward, c.backward)
 
 
+def gaussian_words(seed, stream, start, count):
+    """``count`` Gaussians from word positions start..start+count-1."""
+    return _fill_gaussians(np.empty(count), seed, stream, start)
+
+
 def forward_increment(nb, m, i):
     """dB[m, i] regenerated from its own words of the (m, i, coordinate)
     layout on the forward stream."""
     start = (m * nb.grid.N + i) * nb.d
-    return _gaussian_words(nb.seed, _FORWARD_STREAM, start, nb.d) * np.sqrt(nb.grid.h)
+    return gaussian_words(nb.seed, _FORWARD_STREAM, start, nb.d) * np.sqrt(nb.grid.h)
 
 
 def backward_increment(nb, i):
     """dW[i] regenerated from its own words of the (i, coordinate) layout on
     the backward stream."""
-    return _gaussian_words(nb.seed, _BACKWARD_STREAM, i * nb.l, nb.l) * np.sqrt(nb.grid.h)
+    return gaussian_words(nb.seed, _BACKWARD_STREAM, i * nb.l, nb.l) * np.sqrt(nb.grid.h)
 
 
 def test_noise_isolated_regeneration_bit_exact():
@@ -218,13 +223,17 @@ def test_noise_isolated_regeneration_bit_exact():
         assert np.array_equal(backward_increment(nb, i), nb.backward[i])
 
 
-def reference_gaussians(seed, stream, start, count):
+def reference_transform(words):
     """The word-to-Gaussian mapping written out with its temporaries:
     u = ((w >> 11) + 0.5) * 2^-53, then the inverse normal CDF."""
+    return ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+
+
+def reference_gaussians(seed, stream, start, count):
+    """reference_transform of the Philox words start..start+count-1."""
     block, offset = divmod(start, 4)
     bg = np.random.Philox(key=seed + (stream << 64), counter=block)
-    raw = bg.random_raw(offset + count)[offset:]
-    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+    return reference_transform(bg.random_raw(offset + count)[offset:])
 
 
 @settings(max_examples=200, deadline=None)
@@ -234,7 +243,7 @@ def reference_gaussians(seed, stream, start, count):
 @example(seed=0, stream=_FORWARD_STREAM, start=3, count=1)
 @example(seed=2 ** 64 - 1, stream=_BACKWARD_STREAM, start=4 * 2 ** 38 + 1, count=7)
 def test_gaussian_words_equal_the_reference_transform(seed, stream, start, count):
-    got = _gaussian_words(seed, stream, start, count)
+    got = gaussian_words(seed, stream, start, count)
     assert got.tobytes() == reference_gaussians(seed, stream, start, count).tobytes()
 
 
@@ -258,11 +267,40 @@ def test_half_ulp_offset_rounds_like_the_reference_on_crafted_words():
     assert np.isfinite(ref[:-1]).all() and ref[-1] == np.inf  # top k rounds to u = 1
 
 
+def test_fill_keeps_the_top_word_finite(monkeypatch):
+    # a stand-in generator hands the fill Generator.random's k * 2^-53 for
+    # crafted k = w >> 11; only the top k, which rounds to u = 1, is clamped
+    k = np.array([0, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 1], dtype=np.uint64)
+
+    class CraftedGenerator:
+        def __init__(self, bit_generator):
+            pass
+
+        def random(self, out):
+            out[:] = k.astype(np.float64) * 2.0 ** -53
+
+    monkeypatch.setattr(np.random, "Generator", CraftedGenerator)
+    got = _fill_gaussians(np.empty(k.size), 0, _FORWARD_STREAM, 0)
+    assert np.isfinite(got).all()
+    assert got[:-1].tobytes() == reference_transform(k[:-1] << np.uint64(11)).tobytes()
+    assert got[-1] == ndtri(1.0 - 2.0 ** -53)
+
+
+def test_chunked_backward_noise_equals_one_shot_draw(monkeypatch):
+    # 8-word chunks: the 25 * 3 backward words span ten chunks, the last ragged
+    monkeypatch.setattr(model, "_CHUNK_WORDS", 8)
+    g = build_grid(1.0, 25)
+    nb = sample_noise(11, 2, g, 1, 3)
+    whole = reference_gaussians(11, _BACKWARD_STREAM, 0, 25 * 3) * np.sqrt(g.h)
+    assert nb.backward.shape == (25, 3)
+    assert nb.backward.tobytes() == whole.tobytes()
+
+
 def test_chunked_noise_equals_one_shot_draw():
     # 8195 * 256 words = 8 chunks of 2^18 plus a ragged tail of 768
     g = build_grid(1.0, 256)
     nb = sample_noise(5, 8195, g, 1, 1)
-    whole = _gaussian_words(5, _FORWARD_STREAM, 0, 8195 * 256) * np.sqrt(g.h)
+    whole = gaussian_words(5, _FORWARD_STREAM, 0, 8195 * 256) * np.sqrt(g.h)
     assert nb.forward.shape == (8195, 256, 1)
     assert nb.forward.tobytes() == whole.tobytes()
 
