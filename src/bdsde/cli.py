@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -13,6 +14,7 @@ import numpy as np
 from .experiments import (
     ExperimentConfig,
     _run_set,
+    _solve_seed,
     _stats,
     build_problem,
     derived_seeds,
@@ -24,7 +26,6 @@ from .experiments import (
 )
 from .model import BdsdeError, ConfigError, sample_noise
 from .oracles import midpoint_lattice, spde_point
-from .solver import solve
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,11 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(config: ExperimentConfig, out: Optional[str], args) -> int:
     if args.reps is not None:
-        derived_seeds(config, args.reps)  # fail before printing a partial report
-    coeffs, grid, domain, partition, scfg = build_problem(config)
-    noise = sample_noise(config.seed, config.M, grid, coeffs.d, coeffs.l)
-    sol = solve(coeffs, grid, domain, noise, [config.x0] * coeffs.d, partition,
-                scfg, shift_enabled=config.shift_enabled)
+        derived_seeds(config, config.R_runs)  # fail before printing a partial report
+    sol = _solve_seed(config, build_problem(config), config.seed)
     diag = sol.diagnostics
     print(f"mode = {config.mode}, g_choice = {config.g_choice}, "
           f"N = {config.N}, M = {config.M}, delta = {config.delta:g}, "
@@ -84,26 +82,18 @@ def _cmd_run(config: ExperimentConfig, out: Optional[str], args) -> int:
             f"{v:.3g}" for v in diag.picard_residuals.max(axis=0)))
     if args.reps is not None:
         # the solve printed above is repetition 0
-        runs = _run_set(config, args.reps, args.threads, None, (0,), first=sol)
+        runs = _run_set(config, config.R_runs, args.threads, None, (0,), first=sol)
         mean, std = _stats([run[0] for run in runs])
-        print(f"repetitions = {args.reps}: mean = {mean:.10g}, std = {std:.10g}")
+        print(f"repetitions = {config.R_runs}: mean = {mean:.10g}, std = {std:.10g}")
     if out is not None:
         dump_diagnostics(sol, out)
         print(f"diagnostics written to {out}")
     return 0
 
 
-def _cmd_table(config: ExperimentConfig, out: Optional[str], args) -> int:
-    rows = run_table(config, args.reps, threads=args.threads)
-    emit_csv(rows, out)
-    return 0
-
-
-def _cmd_converge(config: ExperimentConfig, out: Optional[str], args) -> int:
-    if args.reps is not None:
-        config = dataclasses.replace(config, R_runs=args.reps)
-    rows = run_convergence(config, threads=args.threads)
-    emit_csv(rows, out)
+def _cmd_rows(make_rows, config: ExperimentConfig, out: Optional[str],
+              args) -> int:
+    emit_csv(make_rows(config, threads=args.threads), out)
     return 0
 
 
@@ -133,8 +123,8 @@ def _cmd_spde_grid(config: ExperimentConfig, out: Optional[str], args) -> int:
 
 _DISPATCH = {
     "run": _cmd_run,
-    "table": _cmd_table,
-    "converge": _cmd_converge,
+    "table": functools.partial(_cmd_rows, run_table),
+    "converge": functools.partial(_cmd_rows, run_convergence),
     "spde-grid": _cmd_spde_grid,
 }
 
@@ -152,6 +142,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = load_config(args.config)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
+        if args.reps is not None and args.command != "spde-grid":
+            # spde-grid's --reps counts noise realizations, not R_runs
+            config = dataclasses.replace(config, R_runs=args.reps)
         out = args.out if args.out is not None else config.out
         code = _DISPATCH[args.command](config, out, args)
         sys.stdout.flush()

@@ -107,6 +107,9 @@ def make_payoff(K: float) -> Callable[..., np.ndarray]:
 class ExperimentConfig:
     """Flat, validated description of one experiment.
 
+    Construction from a file, in code or by ``dataclasses.replace`` checks
+    each field's type (an int given for a float is stored as a float).
+
     ``I`` counts Picard sweeps per backward step; ``R_runs`` counts
     repetitions of the full solve; ``basis_lower``/``basis_upper`` default to
     the domain bounds when unset; ``j_max`` and ``spatial_points`` feed the
@@ -138,6 +141,8 @@ class ExperimentConfig:
     spatial_points: int = 29
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _coerced(f.name, getattr(self, f.name)))
         if self.sigma_coef <= 0.0:
             raise ConfigError(f"sigma_coef must be positive, got {self.sigma_coef}")
         if self.T <= 0.0:
@@ -206,8 +211,8 @@ _FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def _coerced(name: str, value):
-    """A JSON value checked against the field's declared type; an Optional
-    field accepts null."""
+    """A field value checked against the field's declared type; an Optional
+    field accepts None."""
     kind = _FIELD_TYPES[name]
     if get_origin(kind) is Union:
         if value is None:
@@ -259,13 +264,12 @@ def load_config(path: str) -> ExperimentConfig:
                if f.default is dataclasses.MISSING and f.name not in raw]
     if missing:
         raise ConfigError(f"missing required config key: {missing[0]}")
-    coerced = {name: _coerced(name, value) for name, value in raw.items()}
-    if coerced.get("g_choice") == "custom":
+    if raw.get("g_choice") == "custom":
         raise ConfigError(
             "g_choice 'custom' cannot be expressed in a config file; use the "
             "repeat_runs coefficient override instead"
         )
-    return ExperimentConfig(**coerced)
+    return ExperimentConfig(**raw)
 
 
 def build_problem(
@@ -276,7 +280,8 @@ def build_problem(
 
     An explicit coefficient set replaces the presets wholesale (custom g,
     degenerate diffusions); the grid, domain, basis and solver settings still
-    come from the config.
+    come from the config, the domain and basis as d-cubes of the override's
+    dimension d.
     """
     if coeffs is None:
         if config.g_choice == "custom":
@@ -295,10 +300,11 @@ def build_problem(
     elif not isinstance(coeffs, CoefficientSet):
         raise InvalidParameterError("coeffs override must be a CoefficientSet")
     grid = build_grid(config.T, config.N)
-    domain = Domain.box([config.domain_lower], [config.domain_upper])
+    d = coeffs.d
+    domain = Domain.box([config.domain_lower] * d, [config.domain_upper] * d)
     lo = config.domain_lower if config.basis_lower is None else config.basis_lower
     hi = config.domain_upper if config.basis_upper is None else config.basis_upper
-    partition = build_partition([lo] * coeffs.d, [hi] * coeffs.d, config.delta)
+    partition = build_partition([lo] * d, [hi] * d, config.delta)
     solver_config = SolverConfig(mode=config.mode, picard_iterations=config.I)
     return coeffs, grid, domain, partition, solver_config
 
@@ -318,6 +324,14 @@ class RunStats:
 def _stats(values: Sequence[float]) -> Tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     return float(arr.mean()), float(arr.std(ddof=1))
+
+
+def _solve_seed(config: ExperimentConfig, problem: tuple, seed: int) -> BackwardSolution:
+    """Solve ``build_problem``'s output for ``config`` on the noise of ``seed``."""
+    coeffs, grid, domain, partition, scfg = problem
+    noise = sample_noise(seed, config.M, grid, coeffs.d, coeffs.l)
+    return solve(coeffs, grid, domain, noise, [config.x0] * coeffs.d, partition,
+                 scfg, shift_enabled=config.shift_enabled)
 
 
 def _run_set(
@@ -343,16 +357,13 @@ def _run_set(
     if threads < 1:
         raise InvalidParameterError(f"threads must be positive, got {threads}")
     seeds = derived_seeds(config, R_runs)
-    use, grid, domain, partition, scfg = build_problem(config, coeffs)
-    x0 = [config.x0] * use.d
+    problem = build_problem(config, coeffs)
 
     def one(seed: int) -> Dict[int, float]:
         if first is not None and seed == config.seed:
             sol = first
         else:
-            noise = sample_noise(seed, config.M, grid, use.d, use.l)
-            sol = solve(use, grid, domain, noise, x0, partition, scfg,
-                        shift_enabled=config.shift_enabled)
+            sol = _solve_seed(config, problem, seed)
         snap: Dict[int, float] = {}
         for n in time_indices:
             if n == 0:
@@ -397,27 +408,22 @@ def _active_modes(g_choice: str) -> Tuple[str, ...]:
     return MODES
 
 
-def run_table(
-    config: ExperimentConfig,
-    reps: Optional[int] = None,
-    *,
-    threads: int = 1,
-) -> List[Tuple]:
-    """Repetition statistics over the mode x path-count x time grid.
+def run_table(config: ExperimentConfig, *, threads: int = 1) -> List[Tuple]:
+    """Repetition statistics, config.R_runs per cell, over the mode x
+    path-count x time grid.
 
     Returns the table header-first, data rows sorted by (time_index, mode, M).
     Every (mode, M) combination reuses the same derived seed range, and one
     run set feeds all three time rows.  The g column reports the coupling
     actually used, so bsde rows always read "none".
     """
-    R = config.R_runs if reps is None else reps
     times = _table_times(config.N)
     rows: List[Tuple] = []
     for mode in _active_modes(config.g_choice):
         g_label = "none" if mode == "bsde" else config.g_choice
         for M in TABLE_M_GRID:
             combo = dataclasses.replace(config, mode=mode, M=M)
-            snaps = _run_set(combo, R, threads, None, times)
+            snaps = _run_set(combo, config.R_runs, threads, None, times)
             for n in times:
                 mean, std = _stats([s[n] for s in snaps])
                 rows.append((n, mode, g_label, M, mean, std))
@@ -426,28 +432,21 @@ def run_table(
     return [header] + rows
 
 
-def run_convergence(
-    config: ExperimentConfig,
-    j_max: Optional[int] = None,
-    *,
-    threads: int = 1,
-) -> List[Tuple]:
-    """Joint refinement sweep N_j, M_j, delta_j = f(j) with repetition stats.
+def run_convergence(config: ExperimentConfig, *, threads: int = 1) -> List[Tuple]:
+    """Joint refinement sweep N_j, M_j, delta_j = f(j), j = 1..config.j_max,
+    with config.R_runs repetitions per row.
 
     N_j = round(2 sqrt(2)^(j-1)) clamped to >= 1, M_j = round(2 sqrt(2)^(3(j-1))),
     delta_j = 50 / sqrt(2)^(j-1).  The basis defaults to (40, 180) unless the
     config pins its own bounds; realized integer N and M are recorded in the
     output rows.
     """
-    jm = config.j_max if j_max is None else j_max
-    if jm < 1:
-        raise InvalidParameterError(f"j_max must be at least 1, got {jm}")
     lo = SWEEP_BASIS[0] if config.basis_lower is None else config.basis_lower
     hi = SWEEP_BASIS[1] if config.basis_upper is None else config.basis_upper
     root2 = math.sqrt(2.0)
     header = ("j", "N", "M", "delta", "mode", "mean", "std")
     rows: List[Tuple] = []
-    for j in range(1, jm + 1):
+    for j in range(1, config.j_max + 1):
         N_j = max(1, int(round(2.0 * root2 ** (j - 1))))
         M_j = int(round(2.0 * root2 ** (3 * (j - 1))))
         delta_j = 50.0 / root2 ** (j - 1)

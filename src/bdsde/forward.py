@@ -151,9 +151,10 @@ def simulate_stopped(
     computed there.  Each step copies the block states[i] to states[i+1] and
     writes over it the running paths, carried compactly with their indices.
     """
-    if noise.d != coeffs.d:
+    if not noise.d == domain.d == coeffs.d:
         raise InvalidParameterError(
-            f"noise dimension {noise.d} does not match coefficient dimension {coeffs.d}"
+            f"noise dimension {noise.d} and domain dimension {domain.d} must "
+            f"match coefficient dimension {coeffs.d}"
         )
     if noise.grid is not grid and not np.array_equal(noise.grid.times, grid.times):
         raise InvalidParameterError("noise was sampled on a different time grid")

@@ -113,6 +113,7 @@ def terminal_values(paths: PathSet, coeffs: CoefficientSet) -> Array:
 def z_step(
     n: int,
     paths: PathSet,
+    live: Array,
     cells: Array,
     base: Array,
     dB_n: Array,
@@ -121,11 +122,10 @@ def z_step(
     """Explicit regression for z at step n.
 
     Live-path targets base dB_n^T / h, with base = y_{n+1} + g dW_n, are
-    fitted at the time-n cell ids; the fit population is live paths only.
-    Returns the fitted CellFunction and realized values (zero rows for
-    exited paths).
+    fitted at the time-n cell ids; the fit population is live paths only,
+    ``live = paths.live_mask(n)``.  Returns the fitted CellFunction and
+    realized values (zero rows for exited paths).
     """
-    live = paths.live_mask(n)
     targets = (base[:, :, None]
                * np.asarray(dB_n, dtype=np.float64)[:, None, :] / paths.grid.h)
     z_fn = fit_cells(partition, cells, targets, mask=live)
@@ -135,6 +135,8 @@ def z_step(
 def y_step(
     n: int,
     paths: PathSet,
+    live: Array,
+    rows: Array,
     cells: Array,
     base: Array,
     z_n: Array,
@@ -148,12 +150,10 @@ def y_step(
     full target base + h f with base = y_{n+1} + g dW_n, exited paths carry
     their frozen value so the conditional-mean term survives for their
     cells.  The iterates live as coefficient arrays and are read back at
-    the live paths' cell ids.  With zero iterations the projection of base
-    is returned and f never enters.  Returns (CellFunction, realized
-    values, residuals).
+    the live paths' cell ids (``live`` is ``paths.live_mask(n)``, ``rows``
+    its indices).  With zero iterations the projection of base is returned
+    and f never enters.  Returns (CellFunction, realized values, residuals).
     """
-    live = paths.live_mask(n)
-    rows = np.flatnonzero(live)
     residuals = np.zeros(picard_iterations)
     if picard_iterations == 0:
         y_fn = fit_cells(partition, cells, base)
@@ -191,9 +191,10 @@ def backward_induction(
     arbitrary per-path vector; the equivalence transformation to an
     ordinary backward equation relies on this hook.
     """
-    if noise.M != paths.M:
+    if (noise.M, noise.l) != (paths.M, coeffs.l):
         raise InvalidParameterError(
-            f"noise holds {noise.M} paths but the path set holds {paths.M}"
+            f"noise holds {noise.M} paths and l={noise.l}, but the path set "
+            f"holds {paths.M} paths and the model has l={coeffs.l}"
         )
     if config.mode != "bsde" and coeffs.g is None:
         raise InvalidParameterError(
@@ -228,22 +229,23 @@ def backward_induction(
     cells_next: Optional[Array] = None
     for n in range(N - 1, -1, -1):
         live = paths.live_mask(n)
+        rows = np.flatnonzero(live)
         cells = partition.cell_index(paths.states[n])
         try:
             # base = y_{n+1} + g(t_{n+1}, X_{n+1}, y_{n+1}, z_{n+1}(X_{n+1})) dW_n
             # on live paths, shared by the z- and the y-regression
             base = y_values[n + 1].copy()
-            rows = np.flatnonzero(live)
             if run_coeffs.g is not None and rows.size:
                 z_next = (np.zeros((rows.size, k, d)) if n == N - 1
                           else gather(z_funcs[n + 1].coefficients, cells_next[rows]))
                 gv = run_coeffs.eval_g(float(grid.times[n + 1]), paths.states[n + 1, rows],
                                        y_values[n + 1][rows], z_next)
                 base[rows] += gv @ noise.backward[n]
-            z_funcs[n], z_values[n] = z_step(n, paths, cells, base,
+            z_funcs[n], z_values[n] = z_step(n, paths, live, cells, base,
                                              noise.forward[:, n], partition)
             y_funcs[n], y_values[n], residuals[n] = y_step(
-                n, paths, cells, base, z_values[n], run_coeffs, partition, I)
+                n, paths, live, rows, cells, base, z_values[n], run_coeffs,
+                partition, I)
         except BdsdeError as err:
             raise type(err)(f"backward step n={n}: {err}") from err
         cells_next = cells

@@ -85,7 +85,6 @@ def test_run_reps_solves_each_seed_once(tmp_path, capsys, monkeypatch):
         seeds.append(noise.seed)
         return solve(coeffs, grid, domain, noise, *args, **kwargs)
 
-    monkeypatch.setattr(bdsde.cli, "solve", recording)
     monkeypatch.setattr(bdsde.experiments, "solve", recording)
     assert main(["run", "--config", cfg, "--reps", "3"]) == 0
     assert seeds == [7, 8, 9]

@@ -158,9 +158,20 @@ def test_wrong_type_table_covers_every_field():
 
 @pytest.mark.parametrize("field", sorted(WRONG_TYPE))
 def test_every_field_rejects_a_wrong_json_type(tmp_path, field):
-    path = write_config(tmp_path / "c.json", **{field: WRONG_TYPE[field]})
+    # files, direct construction and dataclasses.replace share one check
+    wrong = {field: WRONG_TYPE[field]}
+    path = write_config(tmp_path / "c.json", **wrong)
     with pytest.raises(ConfigError, match=rf"^{field} must be "):
         load_config(path)
+    with pytest.raises(ConfigError, match=rf"^{field} must be "):
+        ExperimentConfig(**base_kwargs(**wrong))
+    with pytest.raises(ConfigError, match=rf"^{field} must be "):
+        dataclasses.replace(ExperimentConfig(**base_kwargs()), **wrong)
+
+
+def test_an_int_given_for_a_float_is_stored_as_a_float():
+    cfg = dataclasses.replace(ExperimentConfig(**base_kwargs()), T=1)
+    assert type(cfg.T) is float and cfg.T == 1.0
 
 
 @pytest.mark.parametrize("field", ["basis_lower", "basis_upper", "out"])
@@ -216,6 +227,30 @@ def test_build_problem_wires_the_config():
         build_problem(dataclasses.replace(cfg, g_choice="custom"))
     with pytest.raises(InvalidParameterError, match="CoefficientSet"):
         build_problem(cfg, coeffs=object())
+
+
+def test_override_of_dimension_d_gets_a_d_cube():
+    cfg = ExperimentConfig(**base_kwargs(domain_lower=90.0, domain_upper=110.0,
+                                         N=10, M=2000))
+    planar = CoefficientSet(
+        d=2, k=1, l=1,
+        b=lambda x: np.zeros_like(x),
+        sigma=lambda x: 20.0 * np.broadcast_to(np.eye(2), x.shape + (2,)),
+        f=lambda t, x, y, z: np.zeros_like(y),
+        phi=lambda t, x: x[:, :1],
+        g=lambda t, x, y, z: np.zeros(y.shape + (1,)),
+    )
+    problem = build_problem(cfg, planar)
+    domain, partition = problem[2], problem[3]
+    assert domain.lower.tolist() == [90.0, 90.0]
+    assert domain.upper.tolist() == [110.0, 110.0]
+    assert partition.d1.tolist() == [90.0, 90.0]
+    paths = experiments._solve_seed(cfg, problem, cfg.seed).paths
+    # every state before a path's exit lies inside the box on both axes
+    for n in range(cfg.N):
+        x = paths.states[n, paths.live_mask(n)]
+        assert ((x > 90.0) & (x < 110.0)).all()
+    assert paths.exit_detected.mean() > 0.5
 
 
 # --------------------------- repetition statistics ------------------------- #
@@ -322,8 +357,8 @@ def test_doubling_reps_keeps_mean_in_clt_band():
 # ------------------------------ table and sweep ---------------------------- #
 
 def test_table_structure_and_sorting():
-    cfg = ExperimentConfig(**base_kwargs())
-    rows = run_table(cfg, 2)
+    cfg = ExperimentConfig(**base_kwargs(R_runs=2))
+    rows = run_table(cfg)
     assert rows[0] == ("time_index", "mode", "g_choice", "M", "mean", "std")
     data = rows[1:]
     assert len(data) == 3 * len(TABLE_M_GRID) * 3    # times x M x modes
@@ -336,17 +371,17 @@ def test_table_structure_and_sorting():
 
 
 def test_table_bsde_rows_ignore_g_choice():
-    cfg_g1 = ExperimentConfig(**base_kwargs(seed=21))
-    cfg_off = ExperimentConfig(**base_kwargs(seed=21, g_choice="none",
+    cfg_g1 = ExperimentConfig(**base_kwargs(seed=21, R_runs=2))
+    cfg_off = ExperimentConfig(**base_kwargs(seed=21, R_runs=2, g_choice="none",
                                              mode="bsde"))
-    bsde_rows = [r for r in run_table(cfg_g1, 2)[1:] if r[1] == "bsde"]
-    off_rows = run_table(cfg_off, 2)[1:]
+    bsde_rows = [r for r in run_table(cfg_g1)[1:] if r[1] == "bsde"]
+    off_rows = run_table(cfg_off)[1:]
     assert bsde_rows == off_rows
 
 
 def test_table_t0_row_agrees_with_repeat_runs():
-    cfg = ExperimentConfig(**base_kwargs())
-    rows = run_table(cfg, 2)
+    cfg = ExperimentConfig(**base_kwargs(R_runs=2))
+    rows = run_table(cfg)
     row = next(r for r in rows[1:]
                if r[0] == 0 and r[1] == cfg.mode and r[3] == 128)
     stats = repeat_runs(dataclasses.replace(cfg, M=128), 2)
@@ -355,13 +390,13 @@ def test_table_t0_row_agrees_with_repeat_runs():
 
 def test_table_rejects_single_rep():
     cfg = ExperimentConfig(**base_kwargs())
-    with pytest.raises(InvalidParameterError, match="reps"):
-        run_table(cfg, 1)
+    with pytest.raises(ConfigError, match="R_runs"):
+        run_table(dataclasses.replace(cfg, R_runs=1))
 
 
 def test_convergence_rows_realize_the_schedule():
     cfg = ExperimentConfig(**base_kwargs(R_runs=2))
-    rows = run_convergence(cfg, 5)
+    rows = run_convergence(dataclasses.replace(cfg, j_max=5))
     assert rows[0] == ("j", "N", "M", "delta", "mode", "mean", "std")
     data = rows[1:]
     assert len(data) == 5 * 3
@@ -372,8 +407,8 @@ def test_convergence_rows_realize_the_schedule():
     assert schedule[3][:2] == (4, 16) and schedule[3][2] == pytest.approx(25.0)
     assert schedule[4][:2] == (6, 45)
     assert schedule[5][:2] == (8, 128) and schedule[5][2] == pytest.approx(12.5)
-    with pytest.raises(InvalidParameterError, match="j_max"):
-        run_convergence(cfg, 0)
+    with pytest.raises(ConfigError, match="j_max"):
+        run_convergence(dataclasses.replace(cfg, j_max=0))
 
 
 def test_convergence_uses_config_j_max_and_modes():

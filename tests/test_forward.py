@@ -13,6 +13,7 @@ from bdsde import (
     CoefficientSet,
     Domain,
     EvaluationError,
+    InvalidParameterError,
     InvalidStartError,
     build_grid,
     euler_step,
@@ -201,6 +202,16 @@ def test_invalid_starts():
     # same point is fine once the shift is disabled
     ps = simulate_stopped(gbm_coeffs(), g, dom, nb, [60.5], shift_enabled=False)
     assert ps.M == 4
+
+
+def test_domain_of_another_dimension_is_refused():
+    # a 1-d domain would scan only coordinate 0 of 2-d states, so paths
+    # could leave through coordinate 1 unstopped
+    g = build_grid(0.25, 4)
+    nb = sample_noise(3, 4, g, 1, 1)
+    with pytest.raises(InvalidParameterError, match="domain dimension 2"):
+        simulate_stopped(gbm_coeffs(), g, Domain.box([60.0] * 2, [200.0] * 2),
+                         nb, [100.0])
 
 
 def test_whole_space_refuses_a_non_finite_start():

@@ -82,6 +82,15 @@ def test_bdsde_mode_requires_g():
               part, SolverConfig(mode="bdsde-random-terminal"))
 
 
+def test_noise_with_the_wrong_l_is_rejected():
+    g = build_grid(0.25, 4)
+    nb = sample_noise(1, 8, g, 1, 2)
+    part = build_partition([60.0], [200.0], 10.0)
+    with pytest.raises(InvalidParameterError, match="l=2"):
+        solve(reference_coeffs(g=g_linear), g, Domain.box([60.0], [200.0]), nb,
+              [100.0], part, SolverConfig(mode="bdsde-random-terminal"))
+
+
 # ------------------------------ terminal values ---------------------------- #
 
 def test_terminal_values_payoff():
@@ -130,7 +139,8 @@ def test_z_step_antithetic_increments_cancel():
     part = build_partition([0.0], [1.0], 1.0)
     y_next = np.full((2, 1), 4.25)
     cells = part.cell_index(ps.states[0])
-    z_fn, realized = z_step(0, ps, cells, y_next, np.array([[a], [-a]]), part)
+    z_fn, realized = z_step(0, ps, ps.live_mask(0), cells, y_next,
+                            np.array([[a], [-a]]), part)
     assert z_fn.coefficients[0, 0, 0] == 0.0   # exact cancellation
     assert (realized == 0.0).all()
 
@@ -148,11 +158,26 @@ def test_y_step_zero_iterations_skips_driver():
                        f=poisoned, phi=lambda t, x: x)
     y_next = np.array([[2.0], [6.0]])
     cells = part.cell_index(ps.states[0])
-    y_fn, realized, res = y_step(0, ps, cells, y_next, np.zeros((2, 1, 1)),
-                                 c, part, 0)
+    live = ps.live_mask(0)
+    y_fn, realized, res = y_step(0, ps, live, np.flatnonzero(live), cells,
+                                 y_next, np.zeros((2, 1, 1)), c, part, 0)
     assert y_fn.coefficients[0, 0] == pytest.approx(4.0)
     assert res.shape == (0,)
     assert realized[:, 0] == pytest.approx([4.0, 4.0])
+
+
+def test_one_live_mask_per_backward_step(monkeypatch):
+    g = build_grid(0.25, 20)
+    nb = sample_noise(3, 512, g, 1, 1)
+    coeffs = reference_coeffs(g=g_linear)
+    paths = simulate_stopped(coeffs, g, Domain.box([90.0], [110.0]), nb, [100.0])
+    calls = []
+    live_mask = PathSet.live_mask
+    monkeypatch.setattr(PathSet, "live_mask",
+                        lambda self, i: calls.append(i) or live_mask(self, i))
+    backward_induction(coeffs, g, paths, nb, build_partition([90.0], [110.0], 1.0),
+                       SolverConfig(mode="bdsde-random-terminal"))
+    assert sorted(calls) == list(range(20))
 
 
 # --------------------- single-pass step vs per-step reference --------------- #
