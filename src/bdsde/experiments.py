@@ -338,11 +338,12 @@ def _run_set(
     config: ExperimentConfig,
     R_runs: int,
     threads: int,
-    coeffs: Optional[CoefficientSet],
+    problem: tuple,
     time_indices: Sequence[int],
     first: Optional[BackwardSolution] = None,
 ) -> List[Dict[int, float]]:
-    """Solve R_runs times with seeds seed+0 .. seed+R_runs-1.
+    """Solve ``build_problem``'s output for ``config`` R_runs times with seeds
+    seed+0 .. seed+R_runs-1.
 
     Each entry maps a time index n to the run's scalar estimate there: Y0 for
     n = 0, otherwise the regression function averaged over the paths still
@@ -357,7 +358,6 @@ def _run_set(
     if threads < 1:
         raise InvalidParameterError(f"threads must be positive, got {threads}")
     seeds = derived_seeds(config, R_runs)
-    problem = build_problem(config, coeffs)
 
     def one(seed: int) -> Dict[int, float]:
         if first is not None and seed == config.seed:
@@ -390,7 +390,7 @@ def repeat_runs(
     realization of both the forward paths and the shared backward path.
     """
     R = config.R_runs if R_runs is None else R_runs
-    snaps = _run_set(config, R, threads, coeffs, (0,))
+    snaps = _run_set(config, R, threads, build_problem(config, coeffs), (0,))
     values = tuple(s[0] for s in snaps)
     mean, std = _stats(values)
     return RunStats(values=values, mean=mean, std=std, R_runs=R)
@@ -423,7 +423,7 @@ def run_table(config: ExperimentConfig, *, threads: int = 1) -> List[Tuple]:
         g_label = "none" if mode == "bsde" else config.g_choice
         for M in TABLE_M_GRID:
             combo = dataclasses.replace(config, mode=mode, M=M)
-            snaps = _run_set(combo, config.R_runs, threads, None, times)
+            snaps = _run_set(combo, config.R_runs, threads, build_problem(combo), times)
             for n in times:
                 mean, std = _stats([s[n] for s in snaps])
                 rows.append((n, mode, g_label, M, mean, std))

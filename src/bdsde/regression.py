@@ -23,6 +23,8 @@ __all__ = [
     "HypercubePartition",
     "CellFunction",
     "build_partition",
+    "FitPlan",
+    "fit_plan",
     "fit_cells",
     "gather",
     "project",
@@ -55,16 +57,21 @@ class HypercubePartition:
         """Flat cell index for each row of x, or -1 outside [d1, d2)."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.d:
-            raise InvalidParameterError(
-                f"points must have shape (M, {self.d}), got {x.shape}"
-            )
-        inside = np.all((x >= self.d1) & (x < self.d2), axis=1)
-        j = np.floor((x - self.d1) / self.delta).astype(np.int64)
-        # float roundoff near d2 can push floor to L; the truncated last
-        # cell absorbs it
-        np.clip(j, 0, self.L_per_dim - 1, out=j)
-        flat = np.ravel_multi_index(tuple(j.T), tuple(self.L_per_dim))
-        return np.where(inside, flat, np.int64(-1))
+            raise InvalidParameterError(f"points must have shape (M, {self.d}), got {x.shape}")
+        # C-order flat id, summed axis by axis in floats (exact: at most 2**53
+        # cells) and cast once, after outside points are set to -1
+        flat, inside = 0.0, True
+        for a in range(self.d):
+            col = x[:, a]
+            inside = inside & (col >= self.d1[a]) & (col < self.d2[a])
+            j = col - self.d1[a]
+            j /= self.delta
+            # float roundoff near d2 can push floor to L; the last cell takes it
+            np.clip(np.floor(j, out=j), 0, self.L_per_dim[a] - 1, out=j)
+            j += flat * self.L_per_dim[a]
+            flat = j
+        flat[~inside] = -1.0
+        return flat.astype(np.int64)
 
 
 def build_partition(d1, d2, delta: float) -> HypercubePartition:
@@ -79,15 +86,13 @@ def build_partition(d1, d2, delta: float) -> HypercubePartition:
         raise InvalidParameterError("lower bounds must be strictly below upper bounds")
     if not (np.isfinite(delta) and delta > 0.0):
         raise InvalidParameterError(f"cell edge must be positive, got delta={delta}")
-    L = np.ceil((d2 - d1) / delta).astype(np.int64)
-    L = np.maximum(L, 1)
-    d1.setflags(write=False)
-    d2.setflags(write=False)
-    L.setflags(write=False)
-    return HypercubePartition(
-        d1=d1, d2=d2, delta=float(delta), L_per_dim=L,
-        total_cells=int(np.prod(L)),
-    )
+    L = np.maximum(np.ceil((d2 - d1) / delta).astype(np.int64), 1)
+    if np.prod(L, dtype=np.float64) > 2.0 ** 53:
+        raise InvalidParameterError("more than 2**53 cells: flat cell ids would be inexact")
+    for a in (d1, d2, L):
+        a.setflags(write=False)
+    return HypercubePartition(d1=d1, d2=d2, delta=float(delta), L_per_dim=L,
+                              total_cells=int(np.prod(L)))
 
 
 # ------------------------------ cell function ------------------------------ #
@@ -127,9 +132,7 @@ def _validate_samples(xs: Array, vs: Array, mask: Optional[Array]) -> tuple:
     if M < 1:
         raise InvalidParameterError("projection needs at least one sample")
     if vs.shape[0] != M:
-        raise InvalidParameterError(
-            f"sample and target counts differ: {M} vs {vs.shape[0]}"
-        )
+        raise InvalidParameterError(f"sample and target counts differ: {M} vs {vs.shape[0]}")
     if vs.ndim < 2:
         vs = vs[:, None]
     if mask is None:
@@ -141,60 +144,65 @@ def _validate_samples(xs: Array, vs: Array, mask: Optional[Array]) -> tuple:
     return xs, vs, mask
 
 
-def _check_finite(flat: Array, mask: Array) -> None:
+def _check_finite(flat: Array, mask: Optional[Array]) -> None:
     if np.isfinite(flat).all():
         return
-    bad = mask & ~np.isfinite(flat).all(axis=1)
+    bad = (True if mask is None else mask) & ~np.isfinite(flat).all(axis=1)
     if bad.any():
         m = int(np.nonzero(bad)[0][0])
         raise EvaluationError(f"non-finite regression target at sample {m}")
 
 
-def fit_cells(
-    partition: HypercubePartition,
-    cells: Array,
-    vs: Array,
-    mask: Optional[Array] = None,
-) -> CellFunction:
-    """Per-cell means of targets vs at the flat cell ids of their samples.
+@dataclasses.dataclass(frozen=True)
+class FitPlan:
+    """One fit population's cell bookkeeping, shared by every fit over it.
+    ``bins`` is 1 + each sample's cell id, or 0 for a sample that is masked
+    out or outside [d1, d2), so ``bins - 1`` gathers zero there; ``divisor``
+    is the per-cell sample count, 1 for an empty cell (whose sum is 0)."""
 
-    ``cells`` is ``partition.cell_index`` of the sample states.  Cells that
-    receive no masked-in sample get the zero vector and are counted in
-    ``empty_cells``; a masked-in sample with id -1 (outside [d1, d2)) is
-    dropped and counted in ``out_of_range_samples``.  One bincount sums
-    every target column: column c of sample m goes to bin ``cells[m]*C + c``
-    (dropped samples to spare bins past the last cell).  A bin holds one
-    column and bincount adds its samples in sample order, so the means
-    equal a column-by-column fit bitwise.
-    """
-    vs = np.asarray(vs, dtype=np.float64)
-    flat = vs.reshape(cells.shape[0], -1)
-    C = flat.shape[1]
-    if mask is None:
-        mask = np.ones(cells.shape[0], dtype=bool)
-    _check_finite(flat, mask)
-    total = partition.total_cells
-    keys = np.where(mask & (cells >= 0), cells, total)
-    counts = np.bincount(keys, minlength=total + 1)[:total]
-    sums = np.bincount((keys * C + np.arange(C)[:, None]).ravel(),
-                       weights=flat.T.ravel(), minlength=(total + 1) * C)
-    occupied = counts > 0
-    coeffs = np.zeros((total, C))
-    coeffs[occupied] = sums[:total * C].reshape(total, C)[occupied] / counts[occupied, None]
-    return CellFunction(
-        partition=partition,
-        coefficients=coeffs.reshape((total,) + vs.shape[1:]),
-        empty_cells=int(total - np.count_nonzero(occupied)),
-        out_of_range_samples=int(np.count_nonzero(mask) - counts.sum()),
-    )
+    partition: HypercubePartition
+    bins: Array                  # (M,) int64
+    mask: Optional[Array]        # (M,) bool; None keeps every sample
+    divisor: Array               # (total_cells,)
+    empty_cells: int
+    out_of_range_samples: int
+
+    def fit(self, vs: Array) -> CellFunction:
+        """Per-cell means of targets vs in one bincount: column c of sample m
+        goes to bin ``bins[m]*C + c``, and bincount adds a bin's samples in
+        sample order, so the means equal a column-by-column fit bitwise."""
+        vs = np.asarray(vs, dtype=np.float64)
+        flat = vs.reshape(self.bins.shape[0], -1)
+        C, total = flat.shape[1], self.partition.total_cells
+        _check_finite(flat, self.mask)
+        bins = self.bins if C == 1 else (self.bins * C + np.arange(C)[:, None]).ravel()
+        sums = np.bincount(bins, weights=flat.T.ravel(), minlength=(total + 1) * C)
+        coeffs = sums[C:].reshape(total, C) / self.divisor[:, None]
+        return CellFunction(self.partition, coeffs.reshape((total,) + vs.shape[1:]),
+                            self.empty_cells, self.out_of_range_samples)
 
 
-def project(
-    partition: HypercubePartition,
-    xs: Array,
-    vs: Array,
-    mask: Optional[Array] = None,
-) -> CellFunction:
+def fit_plan(partition: HypercubePartition, cells: Array,
+             mask: Optional[Array] = None) -> FitPlan:
+    """The plan of the samples at flat cell ids ``cells`` that ``mask``
+    keeps; a kept sample with id -1 is dropped and counted as out of range."""
+    bins = cells + 1
+    if mask is not None:
+        bins *= mask
+    counts = np.bincount(bins, minlength=partition.total_cells + 1)[1:]
+    kept = cells.shape[0] if mask is None else np.count_nonzero(mask)
+    return FitPlan(partition, bins, mask, np.maximum(counts, 1).astype(np.float64),
+                   int(counts.size - np.count_nonzero(counts)), int(kept - counts.sum()))
+
+
+def fit_cells(partition: HypercubePartition, cells: Array, vs: Array,
+              mask: Optional[Array] = None) -> CellFunction:
+    """Per-cell means of targets vs: ``fit_plan`` of the ids, then its fit."""
+    return fit_plan(partition, cells, mask).fit(vs)
+
+
+def project(partition: HypercubePartition, xs: Array, vs: Array,
+            mask: Optional[Array] = None) -> CellFunction:
     """Empirical least-squares fit of targets vs onto the indicator basis:
     ``fit_cells`` at the cell ids of xs."""
     xs, vs, mask = _validate_samples(xs, vs, mask)

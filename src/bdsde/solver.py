@@ -32,7 +32,7 @@ from .model import (
     NoiseBundle,
     TimeGrid,
 )
-from .regression import HypercubePartition, fit_cells, gather, project
+from .regression import HypercubePartition, fit_plan, gather, project
 
 Array = np.ndarray
 
@@ -69,9 +69,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise InvalidParameterError(
-                f"unknown mode {self.mode!r}, expected one of {MODES}"
-            )
+            raise InvalidParameterError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         if int(self.picard_iterations) != self.picard_iterations or self.picard_iterations < 0:
             raise InvalidParameterError(
                 f"picard_iterations must be a nonnegative integer, got {self.picard_iterations!r}"
@@ -110,63 +108,60 @@ def terminal_values(paths: PathSet, coeffs: CoefficientSet) -> Array:
     return coeffs.eval_phi(paths.exit_time, paths.exit_state)
 
 
-def z_step(
-    n: int,
-    paths: PathSet,
-    live: Array,
-    cells: Array,
-    base: Array,
-    dB_n: Array,
-    partition: HypercubePartition,
-) -> tuple:
+def _live_rows(a: Array, rows) -> Array:
+    """Read-only ``a[rows]``, a view of ``a`` when every path is live."""
+    out = a[rows]
+    out.flags.writeable = False
+    return out
+
+
+def z_step(n: int, paths: PathSet, live: Array, cells: Array, base: Array,
+           dB_n: Array, partition: HypercubePartition) -> tuple:
     """Explicit regression for z at step n.
 
     Live-path targets base dB_n^T / h, with base = y_{n+1} + g dW_n, are
     fitted at the time-n cell ids; the fit population is live paths only,
     ``live = paths.live_mask(n)``.  Returns the fitted CellFunction and
-    realized values (zero rows for exited paths).
+    realized values (zero rows for exited paths, whose plan bin is 0).
     """
     targets = (base[:, :, None]
                * np.asarray(dB_n, dtype=np.float64)[:, None, :] / paths.grid.h)
-    z_fn = fit_cells(partition, cells, targets, mask=live)
-    return z_fn, gather(z_fn.coefficients, np.where(live, cells, -1))
+    plan = fit_plan(partition, cells, live)
+    z_fn = plan.fit(targets)
+    return z_fn, gather(z_fn.coefficients, plan.bins - 1)
 
 
-def y_step(
-    n: int,
-    paths: PathSet,
-    live: Array,
-    rows: Array,
-    cells: Array,
-    base: Array,
-    z_n: Array,
-    coeffs: CoefficientSet,
-    partition: HypercubePartition,
-    picard_iterations: int,
-) -> tuple:
+def y_step(n: int, paths: PathSet, live: Array, rows, cells: Array, base: Array,
+           z_n: Array, coeffs: CoefficientSet, partition: HypercubePartition,
+           picard_iterations: int) -> tuple:
     """Implicit regression for y at step n via Picard iteration from zero.
 
     Every path contributes to the fit population: live paths carry the
     full target base + h f with base = y_{n+1} + g dW_n, exited paths carry
     their frozen value so the conditional-mean term survives for their
-    cells.  The iterates live as coefficient arrays and are read back at
-    the live paths' cell ids (``live`` is ``paths.live_mask(n)``, ``rows``
-    its indices).  With zero iterations the projection of base is returned
-    and f never enters.  Returns (CellFunction, realized values, residuals).
+    cells.  One fit plan serves every sweep.  The iterates live as
+    coefficient arrays and are read back at the live paths' cell ids
+    (``live`` is ``paths.live_mask(n)``, ``rows`` its indices or, when
+    every path is live, the whole slice).  With zero iterations the
+    projection of base is returned and f never enters.  Returns
+    (CellFunction, realized values, residuals).
     """
+    plan = fit_plan(partition, cells)
     residuals = np.zeros(picard_iterations)
     if picard_iterations == 0:
-        y_fn = fit_cells(partition, cells, base)
+        y_fn = plan.fit(base)
     else:
-        x_live, z_live, cells_live = paths.states[n, rows], z_n[rows], cells[rows]
+        x_live, z_live = _live_rows(paths.states[n], rows), _live_rows(z_n, rows)
+        cells_live = cells[rows]
         t_n = float(paths.grid.times[n])
         coef = np.zeros((partition.total_cells, coeffs.k))
-        hf = np.zeros_like(base)
+        target = base.copy()
         for it in range(picard_iterations):
-            if rows.size:
-                fv = coeffs.eval_f(t_n, x_live, gather(coef, cells_live), z_live)
-                hf[rows] = paths.grid.h * fv
-            y_fn = fit_cells(partition, cells, base + hf)
+            if cells_live.size:
+                hf = paths.grid.h * coeffs.eval_f(t_n, x_live, gather(coef, cells_live), z_live)
+                hf += base[rows]
+                target[rows] = hf
+            y_fn = plan.fit(target)
             residuals[it] = float(np.max(np.abs(y_fn.coefficients - coef)))
             coef = y_fn.coefficients
     realized = np.where(live[:, None], gather(y_fn.coefficients, cells), base)
@@ -198,8 +193,7 @@ def backward_induction(
         )
     if config.mode != "bsde" and coeffs.g is None:
         raise InvalidParameterError(
-            f"mode {config.mode!r} needs a g coefficient; none was supplied"
-        )
+            f"mode {config.mode!r} needs a g coefficient; none was supplied")
     run_coeffs = dataclasses.replace(coeffs, g=None) if config.mode == "bsde" else coeffs
 
     N, M, k, d = grid.N, paths.M, coeffs.k, coeffs.d
@@ -210,9 +204,7 @@ def backward_induction(
     else:
         term = np.asarray(terminal, dtype=np.float64)
         if term.shape != (M, k):
-            raise InvalidParameterError(
-                f"terminal override shape {term.shape}, expected {(M, k)}"
-            )
+            raise InvalidParameterError(f"terminal override shape {term.shape}, expected {(M, k)}")
         if not np.isfinite(term).all():
             raise InvalidParameterError("terminal override contains non-finite entries")
 
@@ -229,17 +221,19 @@ def backward_induction(
     cells_next: Optional[Array] = None
     for n in range(N - 1, -1, -1):
         live = paths.live_mask(n)
-        rows = np.flatnonzero(live)
+        # with every path live, whole arrays replace gathers through an index
+        rows = slice(None) if live.all() else np.flatnonzero(live)
         cells = partition.cell_index(paths.states[n])
         try:
             # base = y_{n+1} + g(t_{n+1}, X_{n+1}, y_{n+1}, z_{n+1}(X_{n+1})) dW_n
             # on live paths, shared by the z- and the y-regression
             base = y_values[n + 1].copy()
-            if run_coeffs.g is not None and rows.size:
-                z_next = (np.zeros((rows.size, k, d)) if n == N - 1
+            if run_coeffs.g is not None and live.any():
+                x_next = _live_rows(paths.states[n + 1], rows)
+                z_next = (np.zeros((x_next.shape[0], k, d)) if n == N - 1
                           else gather(z_funcs[n + 1].coefficients, cells_next[rows]))
-                gv = run_coeffs.eval_g(float(grid.times[n + 1]), paths.states[n + 1, rows],
-                                       y_values[n + 1][rows], z_next)
+                gv = run_coeffs.eval_g(float(grid.times[n + 1]), x_next,
+                                       _live_rows(y_values[n + 1], rows), z_next)
                 base[rows] += gv @ noise.backward[n]
             z_funcs[n], z_values[n] = z_step(n, paths, live, cells, base,
                                              noise.forward[:, n], partition)
@@ -290,10 +284,7 @@ def solve(
     runs with a whole-space domain bitwise identical to random-terminal
     ones.
     """
-    if config.mode == "bdsde-random-terminal":
-        sim_domain = domain
-    else:
-        sim_domain = Domain.whole_space(coeffs.d)
+    sim_domain = domain if config.mode == "bdsde-random-terminal" else Domain.whole_space(coeffs.d)
     paths = simulate_stopped(coeffs, grid, sim_domain, noise, x0,
                              shift_enabled=shift_enabled)
     return backward_induction(coeffs, grid, paths, noise, partition, config)

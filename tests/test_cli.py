@@ -96,6 +96,21 @@ def test_run_reps_solves_each_seed_once(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.count(line) == 2
 
 
+def test_run_reps_builds_the_problem_once(tmp_path, capsys, monkeypatch):
+    # the printed solve and the repetitions share one build_problem
+    cfg = small_config(tmp_path)
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return build_problem(*args, **kwargs)
+
+    monkeypatch.setattr(bdsde.cli, "build_problem", counting)
+    monkeypatch.setattr(bdsde.experiments, "build_problem", counting)
+    assert main(["run", "--config", cfg, "--reps", "3"]) == 0
+    assert len(builds) == 1
+
+
 def test_table_writes_sorted_csv(tmp_path):
     cfg = small_config(tmp_path, N=4)
     out = tmp_path / "table.csv"

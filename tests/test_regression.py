@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 
 from bdsde import EvaluationError, InvalidParameterError
-from bdsde.regression import build_partition, fit_cells, gather, lsq_oracle, project
+from bdsde.regression import (
+    build_partition, fit_cells, fit_plan, gather, lsq_oracle, project,
+)
 
 
 # ------------------------------- partition --------------------------------- #
@@ -35,6 +37,17 @@ def test_half_open_cells_and_truncation():
     assert p.cell_index(np.array([[180.0]]))[0] == -1
 
 
+def test_far_and_non_finite_points_index_without_a_cast_warning():
+    # a coordinate more than 2**63 cells from d1 used to reach the int cast
+    # and raise "invalid value encountered in cast" (an error under the
+    # suite's warning filter)
+    p = build_partition([60.0], [200.0], 1.0)
+    x = np.array([[1e300], [-1e300], [np.inf], [-np.inf], [np.nan], [100.5]])
+    assert p.cell_index(x).tolist() == [-1, -1, -1, -1, -1, 40]
+    q = build_partition([0.0, 0.0], [2.0, 3.0], 1.0)
+    assert q.cell_index(np.array([[0.5, 1e300], [1e300, 0.5], [1.5, 2.5]])).tolist() == [-1, -1, 5]
+
+
 def test_multidimensional_c_order():
     p = build_partition([0.0, 0.0], [2.0, 3.0], 1.0)
     assert p.total_cells == 6
@@ -46,6 +59,9 @@ def test_multidimensional_c_order():
 def test_build_partition_errors():
     with pytest.raises(InvalidParameterError):
         build_partition([1.0], [1.0], 0.5)
+    # flat ids are exact floats, so the cell count stops at 2**53
+    with pytest.raises(InvalidParameterError, match="2\\*\\*53"):
+        build_partition([0.0] * 3, [1e6] * 3, 0.1)
     with pytest.raises(InvalidParameterError):
         build_partition([0.0], [1.0], 0.0)
     with pytest.raises(InvalidParameterError):
@@ -239,3 +255,93 @@ def test_project_is_the_id_based_fit(problem):
     if mask.any():
         oracle = lsq_oracle(p, xs, vs, mask=mask)
         assert np.max(np.abs(fn.coefficients - oracle)) < 1e-10
+
+
+# ----------------------- plans and the lean cell lookup --------------------- #
+
+def reference_fit_cells(partition, cells, vs, mask=None):
+    """fit_cells as it was before fit plans: keys, counts and the occupied
+    mask rebuilt on every call; returns (coefficients, empty, out of range)."""
+    vs = np.asarray(vs, dtype=np.float64)
+    flat = vs.reshape(cells.shape[0], -1)
+    C = flat.shape[1]
+    if mask is None:
+        mask = np.ones(cells.shape[0], dtype=bool)
+    total = partition.total_cells
+    keys = np.where(mask & (cells >= 0), cells, total)
+    counts = np.bincount(keys, minlength=total + 1)[:total]
+    sums = np.bincount((keys * C + np.arange(C)[:, None]).ravel(),
+                       weights=flat.T.ravel(), minlength=(total + 1) * C)
+    occupied = counts > 0
+    coeffs = np.zeros((total, C))
+    coeffs[occupied] = sums[:total * C].reshape(total, C)[occupied] / counts[occupied, None]
+    return (coeffs.reshape((total,) + vs.shape[1:]),
+            int(total - np.count_nonzero(occupied)),
+            int(np.count_nonzero(mask) - counts.sum()))
+
+
+def reference_cell_index(partition, x):
+    """cell_index as it was before the lean lookup: np.all over the axes and
+    ravel_multi_index, with the clip applied after the int cast."""
+    inside = np.all((x >= partition.d1) & (x < partition.d2), axis=1)
+    j = np.floor((x - partition.d1) / partition.delta).astype(np.int64)
+    np.clip(j, 0, partition.L_per_dim - 1, out=j)
+    flat = np.ravel_multi_index(tuple(j.T), tuple(partition.L_per_dim))
+    return np.where(inside, flat, np.int64(-1))
+
+
+@st.composite
+def plan_problems(draw):
+    total = draw(st.integers(1, 8))
+    M = draw(st.integers(1, 60))
+    cells = draw(hnp.arrays(np.int64, (M,), elements=st.integers(-1, total - 1)))
+    mask = draw(st.none() | hnp.arrays(np.bool_, (M,)))
+    vshape = draw(st.sampled_from([(1,), (2,), (2, 2)]))  # C = 1, 2, 4
+    values = st.floats(-1e6, 1e6, allow_nan=False)
+    targets = [draw(hnp.arrays(np.float64, (M,) + vshape, elements=values))
+               for _ in range(draw(st.integers(1, 3)))]
+    return build_partition([0.0], [float(total)], 1.0), cells, mask, targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan_problems())
+def test_plan_fits_equal_the_per_call_fit_bitwise(problem):
+    p, cells, mask, targets = problem
+    plan = fit_plan(p, cells, mask)
+    for vs in targets:  # one plan serves every fit over its population
+        coeffs, empty, out = reference_fit_cells(p, cells, vs, mask)
+        for fn in (plan.fit(vs), fit_cells(p, cells, vs, mask)):
+            assert fn.coefficients.shape == coeffs.shape
+            assert fn.coefficients.tobytes() == coeffs.tobytes()
+            assert (fn.empty_cells, fn.out_of_range_samples) == (empty, out)
+    assert (plan.empty_cells, plan.out_of_range_samples) == (empty, out)
+
+
+@st.composite
+def index_problems(draw):
+    d = draw(st.integers(1, 3))
+    d1 = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=d, max_size=d)))
+    extent = np.array(draw(st.lists(st.floats(0.5, 50.0), min_size=d, max_size=d)))
+    p = build_partition(d1, d1 + extent, draw(st.floats(0.05, 20.0)))
+
+    def coordinate(a):
+        lo, hi = p.d1[a], p.d2[a]
+        edges = [lo, np.nextafter(lo, -np.inf), hi, np.nextafter(hi, -np.inf)]
+        return (st.floats(lo - extent[a], hi + extent[a])
+                | st.sampled_from(edges)
+                | st.integers(0, int(p.L_per_dim[a])).map(lambda k: lo + k * p.delta))
+
+    M = draw(st.integers(0, 30))
+    x = np.array([[draw(coordinate(a)) for a in range(d)] for _ in range(M)])
+    return p, x.reshape(M, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_problems())
+def test_cell_index_equals_the_ravel_multi_index_lookup(problem):
+    # covers d2 - ulp, where floor can reach L and the clip puts the point in
+    # the last cell, exact cell edges and points outside the basis
+    p, x = problem
+    ids = p.cell_index(x)
+    assert ids.dtype == np.int64
+    assert np.array_equal(ids, reference_cell_index(p, x))

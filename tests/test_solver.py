@@ -25,7 +25,8 @@ from bdsde import (
     y_step,
     z_step,
 )
-from bdsde.regression import project
+from bdsde import regression, solver
+from bdsde.regression import HypercubePartition, project
 
 MU, VOL, RATE, RATE_HI, STRIKE = 0.05, 0.2, 0.01, 0.06, 115.0
 THETA = (MU - RATE) / VOL
@@ -178,6 +179,54 @@ def test_one_live_mask_per_backward_step(monkeypatch):
     backward_induction(coeffs, g, paths, nb, build_partition([90.0], [110.0], 1.0),
                        SolverConfig(mode="bdsde-random-terminal"))
     assert sorted(calls) == list(range(20))
+
+
+def test_one_plan_per_population_and_one_lookup_per_step(monkeypatch):
+    # per step one plan for the live paths (z) and one for all paths (y,
+    # shared by the Picard sweeps), plus the terminal fit: 2N + 1 plans;
+    # one cell lookup per step plus the terminal one: N + 1
+    g = build_grid(0.25, 20)
+    nb = sample_noise(3, 512, g, 1, 1)
+    plans, lookups = [], []
+    fit_plan, cell_index = regression.fit_plan, HypercubePartition.cell_index
+
+    def counting_plan(*args, **kwargs):
+        plans.append(1)
+        return fit_plan(*args, **kwargs)
+
+    monkeypatch.setattr(regression, "fit_plan", counting_plan)
+    monkeypatch.setattr(solver, "fit_plan", counting_plan)
+    monkeypatch.setattr(HypercubePartition, "cell_index",
+                        lambda self, x: lookups.append(1) or cell_index(self, x))
+    for lo, hi in ((60.0, 200.0), (90.0, 110.0)):  # all live; with exits
+        plans.clear()
+        lookups.clear()
+        sol = solve(reference_coeffs(g=g_linear), g, Domain.box([lo], [hi]), nb, [100.0],
+                    build_partition([lo], [hi], 1.0),
+                    SolverConfig(mode="bdsde-random-terminal", picard_iterations=3))
+        assert (len(plans), len(lookups)) == (2 * 20 + 1, 20 + 1)
+    assert sol.paths.exit_detected.any()
+
+
+@pytest.mark.parametrize("bounds", [(60.0, 200.0), (90.0, 110.0)])
+@pytest.mark.parametrize("target", ["g_x", "g_y", "f_x", "f_z"])
+def test_coefficients_cannot_write_into_the_solution(bounds, target):
+    # on an all-live step the live rows are views of the states, y_{n+1}
+    # and z_n; every array handed to f or g is read-only, views or not
+    name, arg = target.split("_")
+
+    def writing(t, x, y, z):
+        {"x": x, "y": y, "z": z}[arg][...] = 0.0
+        return np.zeros_like(y) if name == "f" else np.zeros(y.shape + (1,))
+
+    c = reference_coeffs(g=g_linear)
+    c = dataclasses.replace(c, **{name: writing})
+    g = build_grid(0.25, 4)
+    nb = sample_noise(5, 256, g, 1, 1)
+    lo, hi = bounds
+    with pytest.raises(ValueError, match="read-only"):
+        solve(c, g, Domain.box([lo], [hi]), nb, [100.0], build_partition([lo], [hi], 1.0),
+              SolverConfig(mode="bdsde-random-terminal"))
 
 
 # --------------------- single-pass step vs per-step reference --------------- #
