@@ -83,7 +83,7 @@ def _cmd_run(config: ExperimentConfig, out: Optional[str], args) -> int:
             f"{v:.3g}" for v in diag.picard_residuals.max(axis=0)))
     if args.reps is not None:
         # the solve printed above is repetition 0
-        runs = _run_set(config, config.R_runs, args.threads, problem, (0,), first=sol)
+        runs = _run_set(config, args.threads, problem, (0,), first=sol)
         mean, std = _stats([run[0] for run in runs])
         print(f"repetitions = {config.R_runs}: mean = {mean:.10g}, std = {std:.10g}")
     if out is not None:

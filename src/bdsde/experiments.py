@@ -89,7 +89,7 @@ def make_g(choice: str) -> Optional[Callable[..., np.ndarray]]:
     else:
         raise InvalidParameterError(
             f"g choice {choice!r} has no preset; pass a coefficient set "
-            "override to repeat_runs for custom couplings"
+            "override to build_problem or repeat_runs for custom couplings"
         )
     return g
 
@@ -284,10 +284,6 @@ def build_problem(
     dimension d.
     """
     if coeffs is None:
-        if config.g_choice == "custom":
-            raise InvalidParameterError(
-                "g_choice 'custom' needs an explicit coefficient set"
-            )
         mu, sc = config.mu, config.sigma_coef
         coeffs = CoefficientSet(
             d=1, k=1, l=1,
@@ -336,14 +332,13 @@ def _solve_seed(config: ExperimentConfig, problem: tuple, seed: int) -> Backward
 
 def _run_set(
     config: ExperimentConfig,
-    R_runs: int,
     threads: int,
     problem: tuple,
     time_indices: Sequence[int],
     first: Optional[BackwardSolution] = None,
 ) -> List[Dict[int, float]]:
-    """Solve ``build_problem``'s output for ``config`` R_runs times with seeds
-    seed+0 .. seed+R_runs-1.
+    """Solve ``build_problem``'s output for ``config`` config.R_runs times
+    with seeds seed+0 .. seed+R_runs-1.
 
     Each entry maps a time index n to the run's scalar estimate there: Y0 for
     n = 0, otherwise the regression function averaged over the paths still
@@ -351,13 +346,9 @@ def _run_set(
     frozen exit payoff).  ``first``, if given, is the caller's solve of
     seed+0 and stands in for it.
     """
-    if R_runs < 2:
-        raise InvalidParameterError(
-            f"reps (R_runs) must be at least 2 to define a std, got {R_runs}"
-        )
     if threads < 1:
         raise InvalidParameterError(f"threads must be positive, got {threads}")
-    seeds = derived_seeds(config, R_runs)
+    seeds = derived_seeds(config, config.R_runs)
 
     def one(seed: int) -> Dict[int, float]:
         if first is not None and seed == config.seed:
@@ -388,12 +379,14 @@ def repeat_runs(
 
     Run r regenerates all noise from seed+r, so each repetition is a fresh
     realization of both the forward paths and the shared backward path.
+    An ``R_runs`` override goes through the config's own check (>= 2).
     """
-    R = config.R_runs if R_runs is None else R_runs
-    snaps = _run_set(config, R, threads, build_problem(config, coeffs), (0,))
+    if R_runs is not None:
+        config = dataclasses.replace(config, R_runs=R_runs)
+    snaps = _run_set(config, threads, build_problem(config, coeffs), (0,))
     values = tuple(s[0] for s in snaps)
     mean, std = _stats(values)
-    return RunStats(values=values, mean=mean, std=std, R_runs=R)
+    return RunStats(values=values, mean=mean, std=std, R_runs=config.R_runs)
 
 
 # ------------------------------ table and sweep ---------------------------- #
@@ -423,7 +416,7 @@ def run_table(config: ExperimentConfig, *, threads: int = 1) -> List[Tuple]:
         g_label = "none" if mode == "bsde" else config.g_choice
         for M in TABLE_M_GRID:
             combo = dataclasses.replace(config, mode=mode, M=M)
-            snaps = _run_set(combo, config.R_runs, threads, build_problem(combo), times)
+            snaps = _run_set(combo, threads, build_problem(combo), times)
             for n in times:
                 mean, std = _stats([s[n] for s in snaps])
                 rows.append((n, mode, g_label, M, mean, std))

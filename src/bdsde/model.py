@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -80,9 +80,9 @@ class TimeGrid:
     times: np.ndarray
 
     def index_of(self, t: float) -> int:
-        """Index i with times[i] == t up to 1e-9*h, else an error."""
-        i = int(np.clip(np.round((t - self.times[0]) / self.h), 0, self.N))
-        if abs(self.times[i] - t) > 1e-9 * self.h:
+        """Index i with times[i] == t up to 1e-9*h, else an error (NaN too)."""
+        i = int(np.clip(np.nan_to_num(np.round((t - self.times[0]) / self.h)), 0, self.N))
+        if not abs(self.times[i] - t) <= 1e-9 * self.h:
             raise InvalidParameterError(f"t={t!r} is not a grid time")
         return i
 
@@ -282,8 +282,8 @@ def _map_on_cpus(fn: Callable, items: Sequence, workers: int) -> list:
 class NoiseBundle:
     """Brownian increments for one run: forward (M, N, d), backward (N, l).
 
-    Every coordinate is N(0, h), and any single entry can be regenerated
-    bit-exactly from its own Philox words (see module docstring).
+    Every coordinate is N(0, h), regenerable bit-exactly from its Philox
+    words (module docstring); swap in a checked W by ``dataclasses.replace``.
     """
 
     seed: int
@@ -293,21 +293,6 @@ class NoiseBundle:
     l: int
     forward: np.ndarray
     backward: np.ndarray
-
-    def with_backward(self, dW: np.ndarray) -> "NoiseBundle":
-        """Copy of this bundle with the shared backward path replaced.
-
-        Used by the pointwise field evaluation layer, which must reuse one
-        externally supplied W segment across many solves.
-        """
-        dW = np.asarray(dW, dtype=np.float64)
-        if dW.shape != (self.grid.N, self.l):
-            raise InvalidParameterError(f"backward path shape {dW.shape}, expected {(self.grid.N, self.l)}")
-        if not np.isfinite(dW).all():
-            raise InvalidParameterError("backward path contains non-finite entries")
-        dW = dW.copy()
-        dW.setflags(write=False)
-        return replace(self, backward=dW)
 
 
 def sample_noise(seed: int, M: int, grid: TimeGrid, d: int, l: int) -> NoiseBundle:

@@ -69,7 +69,9 @@ def forward_contract_oracle(
     The reference driver -theta z - r y + (y - z/sigma)^- (R - r) is linear
     on this solution: y - z/sigma = K e^{-r(T-t)} > 0 kills the kink, so
     the pair (u, -sigma) solves the scheme's continuous limit exactly.
-    Scalar state only; valid when exits are impossible or negligible.
+    Scalar state only.  Under the payoff K - x it needs exits to be
+    impossible or negligible; under phi = u at each path's exit time, with
+    g = 0, Y_t = u(t, X_t) at every stopping time, so it is exact with exits.
     """
     if K <= 0 or T <= 0:
         raise InvalidParameterError(f"need K > 0 and T > 0, got K={K}, T={T}")
@@ -104,14 +106,6 @@ class TransformedProblem:
     def shift_terminal(self, terminal: Array, exit_index: Array) -> Array:
         terminal = np.asarray(terminal, dtype=np.float64)
         return terminal + self.offsets[np.asarray(exit_index, dtype=np.int64)]
-
-    def unshift(self, y_values: Array) -> Array:
-        """Map transformed realized y back to the original equation's y.
-
-        Exact when no path exits before maturity (the offset is then the
-        same for every path at each index).
-        """
-        return np.asarray(y_values, dtype=np.float64) - self.offsets[:, None, :]
 
 
 def transform_to_bsde(
@@ -192,19 +186,20 @@ def spde_point(
 
     Restarts the diffusion at (t_n, x) for every row x of ``points`` (P, d)
     on the tail grid {t_n, ..., T}, which keeps the absolute grid times, and
-    returns the stacked (Y0, Z0) as u (P, k) and v (P, k, d).  The backward
-    path is sliced, never resampled, and the forward noise is drawn once per
-    call, so every point of the row sees the same noise.
+    returns the stacked (Y0, Z0) as u (P, k) and v (P, k, d).  The whole W
+    (N, l) is checked, even at t_n = T, then frozen and sliced to W[n:], never
+    resampled; the forward noise is drawn once per call, shared by all points.
     """
     n = grid.index_of(t_n)
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != coeffs.d:
         raise InvalidParameterError(f"points shape {points.shape}, expected (P, {coeffs.d})")
-    wpath = np.asarray(wpath, dtype=np.float64)
-    if wpath.shape != (grid.N, coeffs.l):
+    wpath = np.array(wpath, dtype=np.float64)
+    if wpath.shape != (grid.N, coeffs.l) or not np.isfinite(wpath).all():
         raise InvalidParameterError(
-            f"backward path shape {wpath.shape}, expected {(grid.N, coeffs.l)}"
-        )
+            f"backward path must be finite with shape {(grid.N, coeffs.l)}, got "
+            f"shape {wpath.shape}")
+    wpath.setflags(write=False)
     # where the stopped scheme stops at once (at T, or inside the exit-shift
     # collar) the field takes the boundary payoff: u = phi(t_n, x), v = 0
     u = np.array(coeffs.eval_phi(float(grid.times[n]), points))
@@ -213,7 +208,8 @@ def spde_point(
         return u, v
 
     tail = dataclasses.replace(grid, N=grid.N - n, times=grid.times[n:])
-    noise = sample_noise(seed, M, tail, coeffs.d, coeffs.l).with_backward(wpath[n:])
+    noise = sample_noise(seed, M, tail, coeffs.d, coeffs.l)
+    noise = dataclasses.replace(noise, backward=wpath[n:])
     for p, x in enumerate(points):
         try:
             sol = solve(coeffs, tail, domain, noise, x, partition, config,

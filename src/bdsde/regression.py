@@ -25,7 +25,6 @@ __all__ = [
     "build_partition",
     "FitPlan",
     "fit_plan",
-    "fit_cells",
     "gather",
     "project",
     "lsq_oracle",
@@ -86,13 +85,16 @@ def build_partition(d1, d2, delta: float) -> HypercubePartition:
         raise InvalidParameterError("lower bounds must be strictly below upper bounds")
     if not (np.isfinite(delta) and delta > 0.0):
         raise InvalidParameterError(f"cell edge must be positive, got delta={delta}")
-    L = np.maximum(np.ceil((d2 - d1) / delta).astype(np.int64), 1)
-    if np.prod(L, dtype=np.float64) > 2.0 ** 53:
-        raise InvalidParameterError("more than 2**53 cells: flat cell ids would be inexact")
+    with np.errstate(over="ignore"):  # an overflow gives inf, refused below
+        L = np.maximum(np.ceil((d2 - d1) / delta), 1.0)
+        total = np.prod(L)
+    if not total <= 2.0 ** 53:  # an infinite bound too, before the int cast
+        raise InvalidParameterError(f"{total:g} cells: flat cell ids are exact up to 2**53")
+    L = L.astype(np.int64)
     for a in (d1, d2, L):
         a.setflags(write=False)
     return HypercubePartition(d1=d1, d2=d2, delta=float(delta), L_per_dim=L,
-                              total_cells=int(np.prod(L)))
+                              total_cells=int(total))
 
 
 # ------------------------------ cell function ------------------------------ #
@@ -195,18 +197,12 @@ def fit_plan(partition: HypercubePartition, cells: Array,
                    int(counts.size - np.count_nonzero(counts)), int(kept - counts.sum()))
 
 
-def fit_cells(partition: HypercubePartition, cells: Array, vs: Array,
-              mask: Optional[Array] = None) -> CellFunction:
-    """Per-cell means of targets vs: ``fit_plan`` of the ids, then its fit."""
-    return fit_plan(partition, cells, mask).fit(vs)
-
-
 def project(partition: HypercubePartition, xs: Array, vs: Array,
             mask: Optional[Array] = None) -> CellFunction:
     """Empirical least-squares fit of targets vs onto the indicator basis:
-    ``fit_cells`` at the cell ids of xs."""
+    the ``fit_plan`` of the cell ids of xs, then its fit of vs."""
     xs, vs, mask = _validate_samples(xs, vs, mask)
-    return fit_cells(partition, partition.cell_index(xs), vs, mask)
+    return fit_plan(partition, partition.cell_index(xs), mask).fit(vs)
 
 
 def lsq_oracle(

@@ -115,7 +115,7 @@ def _live_rows(a: Array, rows) -> Array:
     return out
 
 
-def z_step(n: int, paths: PathSet, live: Array, cells: Array, base: Array,
+def z_step(paths: PathSet, live: Array, cells: Array, base: Array,
            dB_n: Array, partition: HypercubePartition) -> tuple:
     """Explicit regression for z at step n.
 
@@ -235,7 +235,7 @@ def backward_induction(
                 gv = run_coeffs.eval_g(float(grid.times[n + 1]), x_next,
                                        _live_rows(y_values[n + 1], rows), z_next)
                 base[rows] += gv @ noise.backward[n]
-            z_funcs[n], z_values[n] = z_step(n, paths, live, cells, base,
+            z_funcs[n], z_values[n] = z_step(paths, live, cells, base,
                                              noise.forward[:, n], partition)
             y_funcs[n], y_values[n], residuals[n] = y_step(
                 n, paths, live, rows, cells, base, z_values[n], run_coeffs,

@@ -267,7 +267,8 @@ def constant_solution_coeffs(c):
 
 def test_repeat_runs_requires_two():
     cfg = ExperimentConfig(**base_kwargs())
-    with pytest.raises(InvalidParameterError, match="R_runs"):
+    # the override goes through the config's own check
+    with pytest.raises(ConfigError, match="R_runs"):
         repeat_runs(cfg, 1)
     with pytest.raises(InvalidParameterError, match="threads"):
         repeat_runs(cfg, 2, threads=0)

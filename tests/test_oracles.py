@@ -93,6 +93,85 @@ def test_oracle_rejects_bad_parameters():
         forward_contract_oracle(STRIKE, RATE, 0.0, gbm_sigma)
 
 
+# ---------------------- stopped scheme against the closed form -------------- #
+# With the payoff phi(t, x) = u(t, x) = K e^{-r (T - t)} - x, taken at each
+# path's exit time, and g = 0, Y_t = u(t, X_t) at every stopping time: the
+# random-terminal solve has an exact answer however many paths exit.
+
+def boundary_payoff(t, x):
+    t = np.asarray(t, dtype=np.float64)[..., None]  # scalar or one t per path
+    return STRIKE * np.exp(-RATE * (0.25 - t)) - x
+
+
+def stopped_closed_form_coeffs():
+    zero_g = reference_coeffs(g=lambda t, x, y, z: np.zeros(y.shape + (1,)))
+    return dataclasses.replace(zero_g, phi=boundary_payoff)
+
+
+@pytest.fixture(scope="module", params=[(90.0, 110.0), (95.0, 105.0)],
+                ids=["box-90-110", "box-95-105"])
+def stopped_runs(request):
+    """Random-terminal solves, M=4096, N=20, delta=1, seeds 1-8: exit
+    fraction, Y0 - u0 and the worst per-step mean-square y error on live
+    paths of each seed."""
+    lower, upper = request.param
+    grid = build_grid(0.25, 20)
+    dom = Domain.box([lower], [upper])
+    part = build_partition([lower], [upper], 1.0)
+    c = stopped_closed_form_coeffs()
+    exits, gaps, worst_y = [], [], []
+    for seed in range(1, 9):
+        sol = solve(c, grid, dom, sample_noise(seed, 4096, grid, 1, 1), [100.0],
+                    part, SolverConfig(mode="bdsde-random-terminal"))
+        exits.append(sol.diagnostics.exit_fraction)
+        gaps.append(sol.Y0[0] - U0)
+        worst = 0.0
+        for n in range(grid.N):
+            live = sol.paths.live_mask(n)
+            x = sol.paths.states[n, live]
+            dy = sol.y_values[n][live] - boundary_payoff(float(grid.times[n]), x)
+            worst = max(worst, float(np.mean(dy * dy)) if live.any() else 0.0)
+        worst_y.append(worst)
+    return request.param, np.array(exits), np.array(gaps), np.array(worst_y)
+
+
+def test_stopped_scheme_y0_matches_closed_form_with_exits(stopped_runs):
+    box, exits, gaps, _ = stopped_runs
+    assert exits.mean() > 0.6, box          # most paths exit
+    se = gaps.std(ddof=1) / np.sqrt(gaps.size)
+    print(f"{box}: exit fraction {exits.mean():.3f}, "
+          f"Y0 - u0 = {gaps.mean():+.4f} +- {se:.4f}")
+    assert abs(gaps.mean()) < 4.0 * se
+
+
+def test_stopped_scheme_y_error_on_live_paths(stopped_runs):
+    # about twice the largest seed's value, 0.23 and 1.66: the floor is the
+    # cell-mean bias of u's unit slope, delta**2 / 12 = 0.083, and the last
+    # steps of the narrow box keep only 40-80 live paths; an error in the
+    # frozen values or the live mask gives more than 12
+    box, _, _, worst_y = stopped_runs
+    bound = {(90.0, 110.0): 0.5, (95.0, 105.0): 4.0}[box]
+    assert worst_y.max() < bound, (box, worst_y)
+
+
+def test_spde_point_near_the_boundary_matches_closed_form():
+    grid = build_grid(0.25, 20)
+    dom = Domain.box([90.0], [110.0])
+    part = build_partition([90.0], [110.0], 1.0)
+    cfg = SolverConfig(mode="bdsde-random-terminal")
+    # 90.5 and 109.5 lie in the exit-shift collar, where the field is the
+    # boundary payoff: exact here
+    points = np.array([[90.5], [92.0], [100.0], [108.0], [109.5]])
+    wpath = sample_noise(3, 1, grid, 1, 1).backward
+    for n in (0, 10, 18, 20):
+        t_n = float(grid.times[n])
+        u, v = spde_point(stopped_closed_form_coeffs(), grid, dom, wpath, t_n,
+                          points, 2048, part, cfg, seed=3)
+        gap = u[:, 0] - boundary_payoff(t_n, points)[:, 0]
+        assert (gap[[0, -1]] == 0.0).all() and (v[[0, -1]] == 0.0).all(), n
+        assert np.abs(gap).max() < 0.5, (n, gap)
+
+
 # --------------------------- reduction to plain BSDE ----------------------- #
 
 def test_transform_identity_for_zero_g():
@@ -169,7 +248,7 @@ def test_transform_round_trip_matches_direct_solve():
     sol_red = backward_induction(tp.coeffs, grid, sol_direct.paths, nb, part,
                                  SolverConfig(mode="bsde"), terminal=shifted)
     assert abs(sol_red.Y0[0] - sol_direct.Y0[0]) < 1e-10
-    recovered = tp.unshift(sol_red.y_values)
+    recovered = sol_red.y_values - tp.offsets[:, None, :]
     assert np.max(np.abs(recovered - sol_direct.y_values)) < 1e-10
 
 
@@ -232,9 +311,34 @@ def test_spde_point_shares_backward_path():
 
 def test_spde_point_rejects_off_grid_time():
     grid, part, dom = _field_setup()
-    with pytest.raises(InvalidParameterError):
-        spde_point(reference_coeffs(), grid, dom, np.zeros((10, 1)), 0.013,
-                   [[100.0]], 16, part, SolverConfig(mode="bsde"), seed=1)
+    for t_n in (0.013, np.nan):
+        with pytest.raises(InvalidParameterError, match="not a grid time"):
+            spde_point(reference_coeffs(), grid, dom, np.zeros((10, 1)), t_n,
+                       [[100.0]], 16, part, SolverConfig(mode="bsde"), seed=1)
+
+
+def test_spde_point_checks_the_whole_backward_path_at_every_time():
+    # one check of W per call, whatever t_n: a bad entry before t_n or a bad
+    # W at t_n = T (where the field is the payoff) is refused as well
+    grid, part, dom = _field_setup()
+    nan_first, inf_last = np.zeros((10, 1)), np.zeros((10, 1))
+    nan_first[0], inf_last[-1] = np.nan, np.inf
+    cfg = SolverConfig(mode="bdsde-fixed-horizon")
+    c = reference_coeffs(g=lambda t, x, y, z: (0.5 * y)[:, :, None])
+    for wpath in (nan_first, inf_last, np.zeros((9, 1)), np.zeros((10, 2)),
+                  np.zeros(10)):
+        for t_n in grid.times:
+            with pytest.raises(InvalidParameterError, match="backward path"):
+                spde_point(c, grid, dom, wpath, float(t_n), [[100.0]], 16, part,
+                           cfg, seed=1)
+
+
+def test_spde_point_leaves_the_callers_path_writable():
+    grid, part, dom = _field_setup()
+    wpath = sample_noise(2, 1, grid, 1, 1).backward.copy()
+    spde_point(reference_coeffs(), grid, dom, wpath, float(grid.times[4]),
+               [[100.0]], 16, part, SolverConfig(mode="bsde"), seed=2)
+    assert wpath.flags.writeable
 
 
 def per_point_restart(coeffs, grid, domain, wpath, n, x, M, partition, config,
@@ -261,7 +365,7 @@ def per_point_restart(coeffs, grid, domain, wpath, n, x, M, partition, config,
             phi=lambda t, xs: phi(t + t0, xs),
         )
     noise = sample_noise(seed, M, sub_grid, coeffs.d, coeffs.l)
-    noise = noise.with_backward(wpath[n:])
+    noise = dataclasses.replace(noise, backward=wpath[n:])
     try:
         sol = solve(sub_coeffs, sub_grid, domain, noise, x, partition, config)
     except InvalidStartError:

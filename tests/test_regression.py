@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from bdsde import EvaluationError, InvalidParameterError
 from bdsde.regression import (
-    build_partition, fit_cells, fit_plan, gather, lsq_oracle, project,
+    build_partition, fit_plan, gather, lsq_oracle, project,
 )
 
 
@@ -66,6 +66,14 @@ def test_build_partition_errors():
         build_partition([0.0], [1.0], 0.0)
     with pytest.raises(InvalidParameterError):
         build_partition([0.0], [1.0], -1.0)
+    # an infinite cell count is refused before the int cast (no cast warning,
+    # no one-cell partition): infinite bounds, and an extent or an extent
+    # over delta that overflows
+    for d1, d2, delta in (([-np.inf], [0.0], 1.0), ([0.0], [np.inf], 1.0),
+                          ([-np.inf, 0.0], [np.inf, 1.0], 1.0),
+                          ([0.0], [1e300], 1e-300), ([-1e308], [1e308], 1.0)):
+        with pytest.raises(InvalidParameterError, match="2\\*\\*53"):
+            build_partition(d1, d2, delta)
 
 
 # ------------------------------- projection -------------------------------- #
@@ -208,7 +216,7 @@ def test_project_agrees_with_oracle_on_random_instances():
 
 def column_fit(cells, flat, mask, total):
     """Column-by-column cell means: the per-column bincount loop that the
-    single flat-offset bincount in fit_cells must reproduce bitwise."""
+    single flat-offset bincount of FitPlan.fit must reproduce bitwise."""
     use = mask & (cells >= 0)
     counts = np.bincount(cells[use], minlength=total)
     occupied = counts > 0
@@ -244,7 +252,7 @@ def test_project_is_the_id_based_fit(problem):
     assert np.array_equal(fn.coefficients.reshape(p.total_cells, -1), coeffs)
     assert fn.coefficients.shape == (p.total_cells,) + vs.shape[1:]
     assert (fn.empty_cells, fn.out_of_range_samples) == (empty, out)
-    same = fit_cells(p, cells, vs, mask)
+    same = fit_plan(p, cells, mask).fit(vs)
     assert np.array_equal(same.coefficients, fn.coefficients)
     # evaluation is the gather at the probes' ids, zero outside [d1, d2)
     ids = p.cell_index(probes)
@@ -260,8 +268,9 @@ def test_project_is_the_id_based_fit(problem):
 # ----------------------- plans and the lean cell lookup --------------------- #
 
 def reference_fit_cells(partition, cells, vs, mask=None):
-    """fit_cells as it was before fit plans: keys, counts and the occupied
-    mask rebuilt on every call; returns (coefficients, empty, out of range)."""
+    """The per-call fit as it was before fit plans: keys, counts and the
+    occupied mask rebuilt on every call; returns (coefficients, empty, out
+    of range)."""
     vs = np.asarray(vs, dtype=np.float64)
     flat = vs.reshape(cells.shape[0], -1)
     C = flat.shape[1]
@@ -310,7 +319,7 @@ def test_plan_fits_equal_the_per_call_fit_bitwise(problem):
     plan = fit_plan(p, cells, mask)
     for vs in targets:  # one plan serves every fit over its population
         coeffs, empty, out = reference_fit_cells(p, cells, vs, mask)
-        for fn in (plan.fit(vs), fit_cells(p, cells, vs, mask)):
+        for fn in (plan.fit(vs), fit_plan(p, cells, mask).fit(vs)):
             assert fn.coefficients.shape == coeffs.shape
             assert fn.coefficients.tobytes() == coeffs.tobytes()
             assert (fn.empty_cells, fn.out_of_range_samples) == (empty, out)

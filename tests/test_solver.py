@@ -140,7 +140,7 @@ def test_z_step_antithetic_increments_cancel():
     part = build_partition([0.0], [1.0], 1.0)
     y_next = np.full((2, 1), 4.25)
     cells = part.cell_index(ps.states[0])
-    z_fn, realized = z_step(0, ps, ps.live_mask(0), cells, y_next,
+    z_fn, realized = z_step(ps, ps.live_mask(0), cells, y_next,
                             np.array([[a], [-a]]), part)
     assert z_fn.coefficients[0, 0, 0] == 0.0   # exact cancellation
     assert (realized == 0.0).all()
@@ -407,7 +407,7 @@ def test_bsde_mode_ignores_backward_path_bitwise():
     g = build_grid(0.25, 10)
     part = build_partition([60.0], [200.0], 2.0)
     nb = sample_noise(9, 256, g, 1, 1)
-    nb0 = nb.with_backward(np.zeros((10, 1)))
+    nb0 = dataclasses.replace(nb, backward=np.zeros((10, 1)))
     cfg = SolverConfig(mode="bsde")
     dom = Domain.box([60.0], [200.0])
     a = solve(reference_coeffs(g=g_linear), g, dom, nb, [100.0], part, cfg)
