@@ -135,10 +135,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "threads", 1) < 1:
         parser.error(f"--threads must be positive, got {args.threads}")
-    if args.reps is not None:
-        floor = 1 if args.command == "spde-grid" else 2
-        if args.reps < floor:
-            parser.error(f"--reps must be at least {floor} for {args.command}")
+    if args.command == "spde-grid" and args.reps is not None and args.reps < 1:
+        parser.error(f"--reps must be at least 1 for spde-grid, got {args.reps}")
     try:
         config = load_config(args.config)
         if args.seed is not None:

@@ -28,6 +28,7 @@ from .model import (
     InvalidParameterError,
     TimeGrid,
     _map_on_cpus,
+    _whole,
     build_grid,
     sample_noise,
 )
@@ -346,8 +347,7 @@ def _run_set(
     frozen exit payoff).  ``first``, if given, is the caller's solve of
     seed+0 and stands in for it.
     """
-    if threads < 1:
-        raise InvalidParameterError(f"threads must be positive, got {threads}")
+    threads = _whole("threads", threads, 1)
     seeds = derived_seeds(config, config.R_runs)
 
     def one(seed: int) -> Dict[int, float]:

@@ -19,7 +19,6 @@ shrunken domain restores first-order accuracy of exit-time functionals.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .model import (
     InvalidStartError,
     NoiseBundle,
     TimeGrid,
-    _checked,
 )
 
 Array = np.ndarray
@@ -90,7 +88,7 @@ class PathSet:
 def shift_width(
     axis: Array,
     x: Array,
-    sigma: Callable[[Array], Array],
+    coeffs: CoefficientSet,
     h: float,
 ) -> Array:
     """Half-width of the exit-test boundary shift at each state in x.
@@ -101,8 +99,8 @@ def shift_width(
         Axis of the nearest face of each state, from ``Domain.nearest_face``.
     x : (M, d) array
         States at which to evaluate the shift.
-    sigma : callable
-        Diffusion coefficient map, (M, d) -> (M, d, d).
+    coeffs : CoefficientSet
+        Its sigma is read through ``eval_sigma``, which checks shape and finiteness.
     h : float
         Grid step.
 
@@ -114,7 +112,7 @@ def shift_width(
     if h <= 0.0:
         raise InvalidParameterError(f"step must be positive, got h={h}")
     x = np.asarray(x, dtype=np.float64)
-    s = _checked("sigma", sigma(x), x.shape[:-1] + (x.shape[-1],) * 2, x)
+    s = coeffs.eval_sigma(x)
     row = s[np.arange(x.shape[0]), axis]
     return C0 * np.sqrt(h) * np.linalg.norm(row, axis=-1)
 
@@ -171,7 +169,7 @@ def simulate_stopped(
         """Shift widths at the rows of x and which rows lie strictly inside;
         one face scan gives both the distance and the shift's axis."""
         dist, axis = domain.nearest_face(x)
-        width = (shift_width(axis, x, coeffs.sigma, grid.h) if shift_enabled
+        width = (shift_width(axis, x, coeffs, grid.h) if shift_enabled
                  else np.zeros(x.shape[0]))
         return width, dist > width
 

@@ -64,6 +64,17 @@ class ConfigError(BdsdeError):
     """An experiment configuration failed to parse or validate."""
 
 
+def _whole(name: str, value, lo: int, hi: float = np.inf) -> int:
+    """``value`` as an int (2.0 gives 2) if it is a whole number in [lo, hi), else an error."""
+    try:
+        whole = int(value) if np.isfinite(float(value)) else None
+    except (TypeError, ValueError, OverflowError):  # a non-number, or beyond floats
+        whole = None
+    if whole is None or whole != value or not lo <= whole < hi:
+        raise InvalidParameterError(f"{name} must be a whole number in [{lo}, {hi}), got {value!r}")
+    return whole
+
+
 # ------------------------------ Time grid --------------------------------- #
 
 @dataclass(frozen=True, eq=False)
@@ -93,13 +104,11 @@ def build_grid(T: float, N: int) -> TimeGrid:
     Raises
     ------
     InvalidParameterError
-        For non-positive T or N < 1.
+        For non-positive T or N not a whole number >= 1.
     """
     if not np.isfinite(T) or T <= 0:
         raise InvalidParameterError(f"horizon T must be positive, got {T!r}")
-    if int(N) != N or N < 1:
-        raise InvalidParameterError(f"step count N must be a positive integer, got {N!r}")
-    N = int(N)
+    N = _whole("step count N", N, 1)
     times = (np.arange(N + 1, dtype=np.float64) * float(T)) / N
     times.setflags(write=False)
     return TimeGrid(N=N, h=float(T) / N, times=times)
@@ -118,8 +127,7 @@ class Domain:
 
     @staticmethod
     def whole_space(d: int) -> "Domain":
-        if d < 1:
-            raise InvalidParameterError("dimension must be >= 1")
+        d = _whole("dimension d", d, 1)
         lo = np.full(d, -np.inf)
         hi = np.full(d, np.inf)
         lo.setflags(write=False)
@@ -206,9 +214,8 @@ class CoefficientSet:
     g: Optional[Driver] = None
 
     def __post_init__(self):
-        for name, v in (("d", self.d), ("k", self.k), ("l", self.l)):
-            if int(v) != v or v < 1:
-                raise InvalidParameterError(f"dimension {name} must be a positive integer")
+        for name in ("d", "k", "l"):
+            object.__setattr__(self, name, _whole(f"dimension {name}", getattr(self, name), 1))
 
     # Each eval_* wrapper enforces the output shape and finiteness lazily,
     # naming the offending coefficient as required by the error contract.
@@ -303,13 +310,9 @@ def sample_noise(seed: int, M: int, grid: TimeGrid, d: int, l: int) -> NoiseBund
     output is identical for identical arguments regardless of how the caller
     parallelises the surrounding computation.
     """
-    if int(M) != M or M < 1:
-        raise InvalidParameterError(f"path count M must be a positive integer, got {M!r}")
-    if int(seed) != seed or not 0 <= seed < 2 ** 64:
-        raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    if d < 1 or l < 1:
-        raise InvalidParameterError("dimensions d and l must be >= 1")
-    M, d, l = int(M), int(d), int(l)
+    M = _whole("path count M", M, 1)
+    seed = _whole("seed", seed, 0, 2 ** 64)
+    d, l = _whole("dimension d", d, 1), _whole("dimension l", l, 1)
     root_h = np.sqrt(grid.h)
 
     def draw(stream: int, shape: tuple) -> np.ndarray:
@@ -326,6 +329,6 @@ def sample_noise(seed: int, M: int, grid: TimeGrid, d: int, l: int) -> NoiseBund
         out.setflags(write=False)
         return out
 
-    return NoiseBundle(seed=int(seed), grid=grid, M=M, d=d, l=l,
+    return NoiseBundle(seed=seed, grid=grid, M=M, d=d, l=l,
                        forward=draw(_FORWARD_STREAM, (M, grid.N, d)),
                        backward=draw(_BACKWARD_STREAM, (grid.N, l)))

@@ -26,6 +26,7 @@ from .model import (
     InvalidParameterError,
     InvalidStartError,
     TimeGrid,
+    _whole,
     sample_noise,
 )
 from .regression import HypercubePartition
@@ -231,9 +232,7 @@ def midpoint_lattice(domain: Domain, count: int = 29) -> tuple:
     """
     if not (np.isfinite(domain.lower).all() and np.isfinite(domain.upper).all()):
         raise InvalidParameterError("a bounded box is needed for the spatial lattice")
-    if int(count) != count or count < 1:
-        raise InvalidParameterError(f"lattice resolution must be >= 1, got {count!r}")
-    count = int(count)
+    count = _whole("lattice resolution", count, 1)
     axes = [
         lo + (np.arange(count) + 0.5) * (hi - lo) / count
         for lo, hi in zip(domain.lower, domain.upper)

@@ -31,6 +31,7 @@ from .model import (
     InvalidParameterError,
     NoiseBundle,
     TimeGrid,
+    _whole,
 )
 from .regression import HypercubePartition, fit_plan, gather, project
 
@@ -70,10 +71,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidParameterError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if int(self.picard_iterations) != self.picard_iterations or self.picard_iterations < 0:
-            raise InvalidParameterError(
-                f"picard_iterations must be a nonnegative integer, got {self.picard_iterations!r}"
-            )
+        object.__setattr__(self, "picard_iterations",
+                           _whole("picard_iterations", self.picard_iterations, 0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,13 +190,15 @@ def backward_induction(
             f"noise holds {noise.M} paths and l={noise.l}, but the path set "
             f"holds {paths.M} paths and the model has l={coeffs.l}"
         )
+    if not all(g is grid or np.array_equal(g.times, grid.times) for g in (paths.grid, noise.grid)):
+        raise InvalidParameterError("paths and noise must lie on the solver's time grid")
     if config.mode != "bsde" and coeffs.g is None:
         raise InvalidParameterError(
             f"mode {config.mode!r} needs a g coefficient; none was supplied")
     run_coeffs = dataclasses.replace(coeffs, g=None) if config.mode == "bsde" else coeffs
 
     N, M, k, d = grid.N, paths.M, coeffs.k, coeffs.d
-    I = int(config.picard_iterations)
+    I = config.picard_iterations
 
     if terminal is None:
         term = terminal_values(paths, run_coeffs)

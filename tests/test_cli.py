@@ -168,6 +168,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "config error: cannot write" in capsys.readouterr().err
 
 
+def test_reps_below_two_is_a_config_error(tmp_path, capsys):
+    # run, table and converge take --reps as R_runs, refused by the config
+    cfg = small_config(tmp_path)
+    for command in ("run", "table", "converge"):
+        assert main([command, "--config", cfg, "--reps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "R_runs must be at least 2" in captured.err and captured.out == ""
+
+
 def test_seed_out_of_range_exits_2(tmp_path, capsys):
     cfg = small_config(tmp_path, seed=2 ** 64)
     assert main(["run", "--config", cfg]) == 2
@@ -203,7 +212,7 @@ def test_usage_errors_exit_2(tmp_path):
         main(["run"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["table", "--config", small_config(tmp_path), "--reps", "1"])
+        main(["spde-grid", "--config", small_config(tmp_path), "--reps", "0"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", small_config(tmp_path), "--threads", "0"])

@@ -270,8 +270,9 @@ def test_repeat_runs_requires_two():
     # the override goes through the config's own check
     with pytest.raises(ConfigError, match="R_runs"):
         repeat_runs(cfg, 1)
-    with pytest.raises(InvalidParameterError, match="threads"):
-        repeat_runs(cfg, 2, threads=0)
+    for threads in (0, 1.5, np.nan, "2"):
+        with pytest.raises(InvalidParameterError, match="threads"):
+            repeat_runs(cfg, 2, threads=threads)
 
 
 def test_repeat_runs_degenerate_coefficients_are_exact():

@@ -40,14 +40,14 @@ def test_shift_width_reference_value():
     # 0.5826 * sqrt(0.0125) * 0.2 * 60
     dom = Domain.box([60.0], [200.0])
     x = np.array([[60.0]])
-    w = shift_width(dom.nearest_face(x)[1], x, gbm_coeffs().sigma, 0.0125)
+    w = shift_width(dom.nearest_face(x)[1], x, gbm_coeffs(), 0.0125)
     assert w[0] == pytest.approx(0.7816399222148265, rel=1e-13)
 
 
 def test_shift_width_degenerate_cases():
     dom = Domain.box([0.0], [1.0])
     x = np.array([[0.3], [0.9]])
-    zero_sigma = lambda x: np.zeros(x.shape + (1,))
+    zero_sigma = dataclasses.replace(gbm_coeffs(), sigma=lambda x: np.zeros(x.shape + (1,)))
     assert shift_width(dom.nearest_face(x)[1], x, zero_sigma, 0.01) == pytest.approx([0.0, 0.0])
 
 
@@ -144,7 +144,7 @@ def test_pre_exit_states_clear_the_shift_collar():
         live = ps.exit_index > i
         x = ps.states[i, live]
         dist, axis = dom.nearest_face(x)
-        assert (dist > shift_width(axis, x, c.sigma, g.h)).all()
+        assert (dist > shift_width(axis, x, c, g.h)).all()
 
 
 def test_one_face_scan_per_step(monkeypatch):
@@ -347,7 +347,7 @@ def test_start_on_the_shifted_boundary_is_refused():
     g = build_grid(0.25, 4)
     nb = sample_noise(3, 4, g, 1, 1)
     x = np.array([[1.0]])
-    w = shift_width(dom.nearest_face(x)[1], x, coeffs.sigma, g.h)[0]
+    w = shift_width(dom.nearest_face(x)[1], x, coeffs, g.h)[0]
     assert dom.nearest_face(np.array([[w]]))[0][0] == w
     with pytest.raises(InvalidStartError, match="boundary shift"):
         simulate_stopped(coeffs, g, dom, nb, [w])
@@ -412,7 +412,7 @@ def test_start_refused_exactly_within_the_shift(d, lo, span, frac, vol, N, shift
     nb = sample_noise(0, 1, g, d, 1)
     assert dom.contains(x0[None, :])[0]
     dist, axis = dom.nearest_face(x0[None, :])
-    width = shift_width(axis, x0[None, :], coeffs.sigma, g.h)[0]
+    width = shift_width(axis, x0[None, :], coeffs, g.h)[0]
     if shift and dist[0] <= width:
         with pytest.raises(InvalidStartError, match="boundary shift"):
             simulate_stopped(coeffs, g, dom, nb, x0, shift_enabled=shift)

@@ -16,7 +16,9 @@ from bdsde import (
     Domain,
     EvaluationError,
     InvalidParameterError,
+    SolverConfig,
     build_grid,
+    midpoint_lattice,
     sample_noise,
 )
 from bdsde.model import _BACKWARD_STREAM, _FORWARD_STREAM, _fill_gaussians
@@ -374,6 +376,44 @@ def test_noise_rejects_bad_arguments():
         sample_noise(-1, 4, g, 1, 1)
     with pytest.raises(InvalidParameterError):
         sample_noise(1, 4, g, 0, 1)
+    with pytest.raises(InvalidParameterError):
+        sample_noise(2 ** 64, 4, g, 1, 1)
+    assert sample_noise(2 ** 64 - 1, 4, g, 1, 1).seed == 2 ** 64 - 1
+
+
+# ----------------------------- whole numbers ------------------------------- #
+
+def _dims(**dims) -> CoefficientSet:
+    unused = lambda *args: None
+    return CoefficientSet(**{"d": 1, "k": 1, "l": 1, **dims},
+                          b=unused, sigma=unused, f=unused, phi=unused)
+
+
+# every count argument: its floor, and a call that reads back the stored value
+_COUNT_SITES = {
+    "build_grid N": (1, lambda v: build_grid(1.0, v).N),
+    "CoefficientSet d": (1, lambda v: _dims(d=v).d),
+    "CoefficientSet k": (1, lambda v: _dims(k=v).k),
+    "CoefficientSet l": (1, lambda v: _dims(l=v).l),
+    "sample_noise M": (1, lambda v: sample_noise(1, v, build_grid(1.0, 2), 1, 1).M),
+    "sample_noise seed": (0, lambda v: sample_noise(v, 1, build_grid(1.0, 2), 1, 1).seed),
+    "sample_noise d": (1, lambda v: sample_noise(1, 1, build_grid(1.0, 2), v, 1).d),
+    "sample_noise l": (1, lambda v: sample_noise(1, 1, build_grid(1.0, 2), 1, v).l),
+    "Domain.whole_space d": (1, lambda v: Domain.whole_space(v).d),
+    "SolverConfig picard_iterations":
+        (0, lambda v: SolverConfig("bsde", picard_iterations=v).picard_iterations),
+    "midpoint_lattice count": (1, lambda v: len(midpoint_lattice(Domain.box([0.0], [1.0]), v)[1])),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_COUNT_SITES))
+def test_every_count_argument_is_a_whole_number(site):
+    floor, stored = _COUNT_SITES[site]
+    for bad in (np.nan, np.inf, -np.inf, 1.5, "3", 10 ** 400, floor - 1):
+        with pytest.raises(InvalidParameterError, match="whole number"):
+            stored(bad)
+    out = stored(2.0)
+    assert type(out) is int and out == 2
 
 
 # ------------------------------- exports ----------------------------------- #

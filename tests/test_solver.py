@@ -92,6 +92,25 @@ def test_noise_with_the_wrong_l_is_rejected():
               [100.0], part, SolverConfig(mode="bdsde-random-terminal"))
 
 
+def test_paths_and_noise_must_lie_on_the_solver_grid():
+    g = build_grid(0.25, 20)
+    nb = sample_noise(1, 64, g, 1, 1)
+    c = reference_coeffs(g=g_linear)
+    part = build_partition([60.0], [200.0], 10.0)
+    ps = simulate_stopped(c, g, Domain.box([60.0], [200.0]), nb, [100.0])
+    cfg = SolverConfig(mode="bdsde-random-terminal")
+    # a coarser grid would pair steps with the wrong states and noise, a
+    # finer one would index past their ends
+    for N in (10, 40):
+        with pytest.raises(InvalidParameterError, match="time grid"):
+            backward_induction(c, build_grid(0.25, N), ps, nb, part, cfg)
+    with pytest.raises(InvalidParameterError, match="time grid"):
+        backward_induction(c, g, ps, sample_noise(1, 64, build_grid(0.5, 20), 1, 1), part, cfg)
+    # a grid built separately with the same times is the same grid
+    same = backward_induction(c, build_grid(0.25, 20), ps, nb, part, cfg)
+    assert same.Y0 == backward_induction(c, g, ps, nb, part, cfg).Y0
+
+
 # ------------------------------ terminal values ---------------------------- #
 
 def test_terminal_values_payoff():
