@@ -104,12 +104,24 @@ def make_payoff(K: float) -> Callable[..., np.ndarray]:
 
 # ------------------------------- configuration ----------------------------- #
 
+def _positive() -> dataclasses.Field:
+    return dataclasses.field(metadata={"rule": ("positive", lambda v: v > 0.0)})
+
+
+def _at_least(lo: int, **default) -> dataclasses.Field:
+    return dataclasses.field(metadata={"rule": (f"at least {lo}", lambda v: v >= lo)}, **default)
+
+
+def _one_of(choices: Tuple[str, ...]) -> dataclasses.Field:
+    return dataclasses.field(metadata={"rule": (f"one of {choices}", lambda v: v in choices)})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat, validated description of one experiment.
 
     Construction from a file, in code or by ``dataclasses.replace`` checks
-    each field's type (an int given for a float is stored as a float).
+    each field's type (an int given for a float is stored as a float) and rule.
 
     ``I`` counts Picard sweeps per backward step; ``R_runs`` counts
     repetitions of the full solve; ``basis_lower``/``basis_upper`` default to
@@ -118,42 +130,37 @@ class ExperimentConfig:
     """
 
     mu: float
-    sigma_coef: float
+    sigma_coef: float = _positive()
     r: float
     R: float
     K: float
     x0: float
-    T: float
+    T: float = _positive()
     domain_lower: float
     domain_upper: float
-    N: int
-    M: int
-    delta: float
-    g_choice: str
-    mode: str
+    N: int = _at_least(1)
+    M: int = _at_least(1)
+    delta: float = _positive()
+    g_choice: str = _one_of(G_CHOICES)
+    mode: str = _one_of(MODES)
     seed: int
-    I: int = 3
-    R_runs: int = 50
+    I: int = _at_least(0, default=3)
+    R_runs: int = _at_least(2, default=50)
     shift_enabled: bool = True
     basis_lower: Optional[float] = None
     basis_upper: Optional[float] = None
     out: Optional[str] = None
-    j_max: int = 5
-    spatial_points: int = 29
+    j_max: int = _at_least(1, default=5)
+    spatial_points: int = _at_least(1, default=29)
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            object.__setattr__(self, f.name, _coerced(f.name, getattr(self, f.name)))
-        if self.sigma_coef <= 0.0:
-            raise ConfigError(f"sigma_coef must be positive, got {self.sigma_coef}")
-        if self.T <= 0.0:
-            raise ConfigError(f"T must be positive, got {self.T}")
-        if self.N < 1:
-            raise ConfigError(f"N must be at least 1, got {self.N}")
-        if self.M < 1:
-            raise ConfigError(f"M must be at least 1, got {self.M}")
-        if self.delta <= 0.0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
+            value = _coerced(f.name, getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
+            if "rule" in f.metadata:
+                text, ok = f.metadata["rule"]
+                if not ok(value):
+                    raise ConfigError(f"{f.name} must be {text}, got {value!r}")
         if not self.domain_lower < self.domain_upper:
             raise ConfigError(
                 f"domain_lower must be below domain_upper, got "
@@ -172,12 +179,6 @@ class ExperimentConfig:
                 f"basis_lower must be below basis_upper, got "
                 f"[{self.basis_lower}, {self.basis_upper}]"
             )
-        if self.g_choice not in G_CHOICES:
-            raise ConfigError(
-                f"g_choice must be one of {G_CHOICES}, got {self.g_choice!r}"
-            )
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode != "bsde" and self.g_choice == "none":
             raise ConfigError(
                 f"mode {self.mode!r} needs a g coupling; set g_choice"
@@ -185,16 +186,6 @@ class ExperimentConfig:
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(
                 f"seed must be an unsigned 64-bit integer, got {self.seed}"
-            )
-        if self.I < 0:
-            raise ConfigError(f"I must be nonnegative, got {self.I}")
-        if self.R_runs < 2:
-            raise ConfigError(f"R_runs must be at least 2, got {self.R_runs}")
-        if self.j_max < 1:
-            raise ConfigError(f"j_max must be at least 1, got {self.j_max}")
-        if self.spatial_points < 1:
-            raise ConfigError(
-                f"spatial_points must be at least 1, got {self.spatial_points}"
             )
 
 
@@ -456,8 +447,6 @@ def run_convergence(config: ExperimentConfig, *, threads: int = 1) -> List[Tuple
 # --------------------------------- emission -------------------------------- #
 
 def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

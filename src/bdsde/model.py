@@ -86,9 +86,12 @@ class TimeGrid:
     spacing is uniform to 1 ulp.  A tail grid times[n:] keeps those times.
     """
 
-    N: int
     h: float
     times: np.ndarray
+
+    @property
+    def N(self) -> int:
+        return self.times.shape[0] - 1
 
     def index_of(self, t: float) -> int:
         """Index i with times[i] == t up to 1e-9*h, else an error (NaN too)."""
@@ -111,7 +114,7 @@ def build_grid(T: float, N: int) -> TimeGrid:
     N = _whole("step count N", N, 1)
     times = (np.arange(N + 1, dtype=np.float64) * float(T)) / N
     times.setflags(write=False)
-    return TimeGrid(N=N, h=float(T) / N, times=times)
+    return TimeGrid(h=float(T) / N, times=times)
 
 
 # ------------------------------- Domain ----------------------------------- #
@@ -290,7 +293,7 @@ class NoiseBundle:
     """Brownian increments for one run: forward (M, N, d), backward (N, l).
 
     Every coordinate is N(0, h), regenerable bit-exactly from its Philox
-    words (module docstring); swap in a checked W by ``dataclasses.replace``.
+    words (module docstring); ``dataclasses.replace`` swaps in arrays of the same shapes.
     """
 
     seed: int
@@ -300,6 +303,12 @@ class NoiseBundle:
     l: int
     forward: np.ndarray
     backward: np.ndarray
+
+    def __post_init__(self):
+        want = ((self.M, self.grid.N, self.d), (self.grid.N, self.l))
+        if (np.shape(self.forward), np.shape(self.backward)) != want:
+            raise InvalidParameterError(f"noise shapes {np.shape(self.forward)}, "
+                                        f"{np.shape(self.backward)}; expected {want}")
 
 
 def sample_noise(seed: int, M: int, grid: TimeGrid, d: int, l: int) -> NoiseBundle:

@@ -208,7 +208,7 @@ def spde_point(
     if n == grid.N:
         return u, v
 
-    tail = dataclasses.replace(grid, N=grid.N - n, times=grid.times[n:])
+    tail = dataclasses.replace(grid, times=grid.times[n:])
     noise = sample_noise(seed, M, tail, coeffs.d, coeffs.l)
     noise = dataclasses.replace(noise, backward=wpath[n:])
     for p, x in enumerate(points):

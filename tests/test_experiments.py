@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 
 from bdsde import experiments, model
 from bdsde import (
+    MODES,
     CoefficientSet,
     ConfigError,
     ExperimentConfig,
@@ -114,6 +116,7 @@ def test_defaults_fill_in(tmp_path):
     ("R_runs", 1, "R_runs"),
     ("seed", -1, "seed"),
     ("T", 0.0, "T"),
+    ("T", float("inf"), "T must be finite"),
 ])
 def test_constraint_violations_name_the_field(tmp_path, field, value, fragment):
     path = write_config(tmp_path / "c.json", **{field: value})
@@ -169,6 +172,35 @@ def test_every_field_rejects_a_wrong_json_type(tmp_path, field):
         dataclasses.replace(ExperimentConfig(**base_kwargs()), **wrong)
 
 
+# per ruled field: a value one step past the rule declared beside it, and the rule
+PAST_THE_RULE = {
+    "sigma_coef": (0.0, "positive"), "T": (0.0, "positive"),
+    "delta": (0.0, "positive"), "N": (0, "at least 1"), "M": (0, "at least 1"),
+    "j_max": (0, "at least 1"), "spatial_points": (0, "at least 1"),
+    "I": (-1, "at least 0"), "R_runs": (1, "at least 2"),
+    "g_choice": ("g4", f"one of {experiments.G_CHOICES}"),
+    "mode": ("backward", f"one of {MODES}"),
+}
+
+
+def test_rule_table_covers_every_ruled_field():
+    ruled = {f.name for f in dataclasses.fields(ExperimentConfig) if "rule" in f.metadata}
+    assert set(PAST_THE_RULE) == ruled
+
+
+@pytest.mark.parametrize("field", sorted(PAST_THE_RULE))
+def test_every_ruled_field_refuses_a_value_past_its_rule(tmp_path, field):
+    value, rule = PAST_THE_RULE[field]
+    message = "^" + re.escape(f"{field} must be {rule}, got {value!r}") + "$"
+    path = write_config(tmp_path / "c.json", **{field: value})
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**base_kwargs(**{field: value}))
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(ExperimentConfig(**base_kwargs()), **{field: value})
+
+
 def test_an_int_given_for_a_float_is_stored_as_a_float():
     cfg = dataclasses.replace(ExperimentConfig(**base_kwargs()), T=1)
     assert type(cfg.T) is float and cfg.T == 1.0
@@ -210,6 +242,8 @@ def test_mode_requires_g():
 def test_basis_bounds_come_in_pairs():
     with pytest.raises(ConfigError, match="basis"):
         ExperimentConfig(**base_kwargs(basis_lower=40.0))
+    with pytest.raises(ConfigError, match="basis_lower must be below basis_upper"):
+        ExperimentConfig(**base_kwargs(basis_lower=180.0, basis_upper=40.0))
     cfg = ExperimentConfig(**base_kwargs(basis_lower=40.0, basis_upper=180.0))
     _, _, _, partition, _ = build_problem(cfg)
     assert partition.d1[0] == 40.0 and partition.d2[0] == 180.0

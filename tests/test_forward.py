@@ -49,6 +49,9 @@ def test_shift_width_degenerate_cases():
     x = np.array([[0.3], [0.9]])
     zero_sigma = dataclasses.replace(gbm_coeffs(), sigma=lambda x: np.zeros(x.shape + (1,)))
     assert shift_width(dom.nearest_face(x)[1], x, zero_sigma, 0.01) == pytest.approx([0.0, 0.0])
+    for h in (0.0, -0.01):
+        with pytest.raises(InvalidParameterError, match="step must be positive"):
+            shift_width(dom.nearest_face(x)[1], x, gbm_coeffs(), h)
 
 
 # ------------------------------ euler step --------------------------------- #
@@ -212,6 +215,18 @@ def test_domain_of_another_dimension_is_refused():
     with pytest.raises(InvalidParameterError, match="domain dimension 2"):
         simulate_stopped(gbm_coeffs(), g, Domain.box([60.0] * 2, [200.0] * 2),
                          nb, [100.0])
+
+
+def test_noise_of_another_grid_and_misshapen_starts_are_refused():
+    g = build_grid(0.25, 4)
+    dom = Domain.box([60.0], [200.0])
+    nb = sample_noise(3, 4, build_grid(0.5, 4), 1, 1)
+    with pytest.raises(InvalidParameterError, match="different time grid"):
+        simulate_stopped(gbm_coeffs(), g, dom, nb, [100.0])
+    nb = sample_noise(3, 4, g, 1, 1)
+    for x0 in ([100.0, 100.0], []):
+        with pytest.raises(InvalidParameterError, match=r"start point must have shape \(1,\)"):
+            simulate_stopped(gbm_coeffs(), g, dom, nb, x0)
 
 
 def test_whole_space_refuses_a_non_finite_start():

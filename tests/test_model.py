@@ -1,6 +1,7 @@
 """Grid, domain, coefficient and noise-layer contracts, and the package
 export list."""
 
+import dataclasses
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -132,6 +133,10 @@ def test_box_rejects_bad_bounds():
         Domain.box([1.0], [1.0])
     with pytest.raises(InvalidParameterError):
         Domain.box([0.0, 5.0], [1.0, 2.0])
+    with pytest.raises(InvalidParameterError, match="equal length"):
+        Domain.box([0.0, 0.0], [1.0])
+    with pytest.raises(InvalidParameterError, match="finite"):
+        Domain.box([0.0], [np.inf])
 
 
 # ----------------------------- coefficients -------------------------------- #
@@ -379,6 +384,17 @@ def test_noise_rejects_bad_arguments():
     with pytest.raises(InvalidParameterError):
         sample_noise(2 ** 64, 4, g, 1, 1)
     assert sample_noise(2 ** 64 - 1, 4, g, 1, 1).seed == 2 ** 64 - 1
+
+
+def test_noise_bundle_refuses_arrays_that_do_not_fit_it():
+    nb = sample_noise(1, 8, build_grid(0.25, 4), 1, 1)
+    for swap in (dict(backward=nb.backward[1:]),
+                 dict(backward=np.zeros((4, 2))),
+                 dict(forward=nb.forward[1:])):
+        with pytest.raises(InvalidParameterError, match="noise shapes"):
+            dataclasses.replace(nb, **swap)
+    w = np.ones((4, 1))
+    assert dataclasses.replace(nb, backward=w).backward is w
 
 
 # ----------------------------- whole numbers ------------------------------- #

@@ -9,6 +9,7 @@ from bdsde import (
     MODES,
     CoefficientSet,
     Domain,
+    EvaluationError,
     InvalidParameterError,
     InvalidStartError,
     SolverConfig,
@@ -222,6 +223,19 @@ def test_transform_rejects_state_dependent_g():
         transform_to_bsde(lambda t, x: 0.0, reference_coeffs(), grid, nb.backward)
 
 
+def test_transform_refuses_misshapen_inputs_and_non_finite_offsets():
+    grid = build_grid(0.25, 4)
+    w = sample_noise(1, 1, grid, 1, 1).backward
+    c = reference_coeffs()
+    for bad_w in (w[1:], np.zeros((4, 2)), w[:, 0]):
+        with pytest.raises(InvalidParameterError, match="backward path shape"):
+            transform_to_bsde(lambda t: 0.5, c, grid, bad_w)
+    with pytest.raises(InvalidParameterError, match=r"expected \(1, 1\)"):
+        transform_to_bsde(lambda t: np.ones(3), c, grid, w)
+    with pytest.raises(EvaluationError, match="non-finite offsets"):
+        transform_to_bsde(lambda t: np.nan, c, grid, w)
+
+
 def test_transform_round_trip_matches_direct_solve():
     # f reads (t, x) only, so both routes reduce to identical projections
     grid = build_grid(0.25, 10)
@@ -355,7 +369,7 @@ def per_point_restart(coeffs, grid, domain, wpath, n, x, M, partition, config,
         sub_grid, sub_coeffs = grid, coeffs
     else:
         times = grid.times[n:] - grid.times[n]
-        sub_grid = TimeGrid(N=grid.N - n, h=grid.h, times=times)
+        sub_grid = TimeGrid(h=grid.h, times=times)
         t0 = float(grid.times[n])
         f, g, phi = coeffs.f, coeffs.g, coeffs.phi
         sub_coeffs = dataclasses.replace(
@@ -453,7 +467,8 @@ def test_spde_point_passes_grid_times_to_coefficients():
 
 def test_index_of_on_tail_grid():
     grid = build_grid(0.25, 20)
-    tail = dataclasses.replace(grid, N=grid.N - 7, times=grid.times[7:])
+    tail = dataclasses.replace(grid, times=grid.times[7:])
+    assert tail.N == 13 and tail.h == grid.h
     assert [tail.index_of(float(t)) for t in grid.times[7:]] == list(range(14))
     with pytest.raises(InvalidParameterError):
         tail.index_of(float(grid.times[7] + 0.5 * grid.h))
@@ -497,6 +512,10 @@ def test_spde_error_trivial_cases():
     # and without rho the u-gap alone is 9 * total weight
     err = spde_error(off_u, v_num, u_ref, v_ref, None, grid, points, weights)
     assert err == pytest.approx(9.0 * weights.sum())
+    # no weights is the plain average, weight 1/P per point
+    P = points.shape[0]
+    assert (spde_error(off_u, v_num, u_ref, v_ref, None, grid, points)
+            == spde_error(off_u, v_num, u_ref, v_ref, None, grid, points, np.full(P, 1.0 / P)))
 
 
 def test_spde_error_shape_validation():
@@ -512,6 +531,8 @@ def test_spde_error_shape_validation():
         spde_error(ok_u, np.zeros((3, 5, 1, 1)), ref, refv, None, grid, points, weights)
     with pytest.raises(InvalidParameterError):
         spde_error(ok_u, ok_v, ref, refv, None, grid, points, np.ones(3))
+    with pytest.raises(InvalidParameterError, match="points must be"):
+        spde_error(ok_u, ok_v, ref, refv, None, grid, points[:, 0], weights)
 
 
 def test_spde_error_decreases_under_refinement():

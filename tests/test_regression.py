@@ -54,11 +54,17 @@ def test_multidimensional_c_order():
     assert list(p.L_per_dim) == [2, 3]
     x = np.array([[0.5, 0.5], [0.5, 2.5], [1.5, 0.5], [1.5, 2.5]])
     assert p.cell_index(x).tolist() == [0, 2, 3, 5]
+    for bad in (x[0], x[:, :1], x[None]):
+        with pytest.raises(InvalidParameterError, match=r"shape \(M, 2\)"):
+            p.cell_index(bad)
 
 
 def test_build_partition_errors():
     with pytest.raises(InvalidParameterError):
         build_partition([1.0], [1.0], 0.5)
+    for d1, d2 in (([0.0, 0.0], [1.0]), ([[0.0]], [[1.0]])):
+        with pytest.raises(InvalidParameterError, match="bound shapes"):
+            build_partition(d1, d2, 0.5)
     # flat ids are exact floats, so the cell count stops at 2**53
     with pytest.raises(InvalidParameterError, match="2\\*\\*53"):
         build_partition([0.0] * 3, [1e6] * 3, 0.1)
@@ -84,6 +90,10 @@ def test_cell_mean_basic():
     assert fn.coefficients[0, 0] == pytest.approx(2.0)
     assert fn.evaluate(np.array([[0.5]]))[0, 0] == pytest.approx(2.0)
     assert fn.empty_cells == 0
+    # 1-D targets are fitted as one column
+    flat = project(p, np.array([[0.2], [0.7]]), np.array([1.0, 3.0]))
+    assert flat.coefficients.shape == (1, 1)
+    assert flat.coefficients.tobytes() == fn.coefficients.tobytes()
 
 
 def test_projection_reproduces_indicator_targets():
@@ -179,6 +189,16 @@ def test_empty_sample_set_rejected():
     p = build_partition([0.0], [1.0], 1.0)
     with pytest.raises(InvalidParameterError):
         project(p, np.zeros((0, 1)), np.zeros((0, 1)))
+
+
+def test_target_count_and_mask_shape_must_match_the_samples():
+    p = build_partition([0.0], [1.0], 1.0)
+    xs = np.array([[0.1], [0.2], [0.3]])
+    with pytest.raises(InvalidParameterError, match="counts differ: 3 vs 2"):
+        project(p, xs, np.ones((2, 1)))
+    for mask in (np.ones(2, dtype=bool), np.ones((3, 1), dtype=bool)):
+        with pytest.raises(InvalidParameterError, match=r"expected \(3,\)"):
+            project(p, xs, np.ones((3, 1)), mask=mask)
 
 
 # ------------------------------- lsq oracle -------------------------------- #

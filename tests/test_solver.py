@@ -500,6 +500,10 @@ def test_terminal_override():
     with pytest.raises(InvalidParameterError):
         backward_induction(c, g, ps, nb, part, SolverConfig(mode="bsde"),
                            terminal=np.zeros((5, 1)))
+    override[3, 0] = np.nan
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        backward_induction(c, g, ps, nb, part, SolverConfig(mode="bsde"),
+                           terminal=override)
 
 
 def test_strong_error_self_reference_is_zero():
@@ -511,6 +515,24 @@ def test_strong_error_self_reference_is_zero():
     ref_y = lambda t, x: sol.y_funcs[g.index_of(t)].evaluate(x)
     ref_z = lambda t, x: sol.z_funcs[g.index_of(t)].evaluate(x)
     assert strong_error(sol, ref_y, ref_z) == 0.0
+
+
+def test_strong_error_skips_steps_without_a_live_path():
+    g = build_grid(4.0, 8)
+    nb = sample_noise(5, 16, g, 1, 1)
+    c = trivial_coeffs(g=lambda t, x, y, z: np.zeros(y.shape + (1,)))
+    sol = solve(c, g, Domain.box([-0.5], [0.5]), nb, [0.0],
+                build_partition([-1.0], [1.0], 0.25),
+                SolverConfig(mode="bdsde-random-terminal"))
+    assert sol.paths.exit_index.max() == 2  # no path is live after t_1
+    seen = []
+
+    def ref_y(t, x):
+        seen.append(g.index_of(t))
+        return np.full((x.shape[0], 1), 7.0)
+
+    err = strong_error(sol, ref_y, lambda t, x: np.zeros((x.shape[0], 1, 1)))
+    assert seen == [0, 1] and np.isfinite(err)
 
 
 def test_step_errors_carry_time_index():
