@@ -29,6 +29,7 @@ from .model import (
     InvalidStartError,
     NoiseBundle,
     TimeGrid,
+    _shaped,
 )
 
 Array = np.ndarray
@@ -156,11 +157,7 @@ def simulate_stopped(
         )
     if noise.grid is not grid and not np.array_equal(noise.grid.times, grid.times):
         raise InvalidParameterError("noise was sampled on a different time grid")
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    if x0.shape != (coeffs.d,):
-        raise InvalidParameterError(
-            f"start point must have shape ({coeffs.d},), got {x0.shape}"
-        )
+    x0 = _shaped("start point", np.reshape(x0, -1), (coeffs.d,))
     if not domain.contains(x0[None, :])[0]:
         raise InvalidStartError(f"start point {x0} lies outside the open domain")
     test_exits = not domain.is_whole_space

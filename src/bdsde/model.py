@@ -75,6 +75,18 @@ def _whole(name: str, value, lo: int, hi: float = np.inf) -> int:
     return whole
 
 
+def _shaped(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float64 array (float64 input is not copied) if it has
+    ``shape``, else an error; an int entry must match, a named entry such as
+    "M" matches any length and prints as written."""
+    out = np.asarray(value, dtype=np.float64)
+    if len(out.shape) != len(shape) or any(
+            want != got for want, got in zip(shape, out.shape) if not isinstance(want, str)):
+        want = str(tuple(shape)).replace("'", "")
+        raise InvalidParameterError(f"{name} must have shape {want}, got {out.shape}")
+    return out
+
+
 # ------------------------------ Time grid --------------------------------- #
 
 @dataclass(frozen=True, eq=False)
@@ -139,10 +151,8 @@ class Domain:
 
     @staticmethod
     def box(lower, upper) -> "Domain":
-        lo = np.atleast_1d(np.asarray(lower, dtype=np.float64)).copy()
-        hi = np.atleast_1d(np.asarray(upper, dtype=np.float64)).copy()
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise InvalidParameterError("bounds must be vectors of equal length")
+        lo = _shaped("lower bounds", np.atleast_1d(lower), ("d",)).copy()
+        hi = _shaped("upper bounds", np.atleast_1d(upper), lo.shape).copy()
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise InvalidParameterError("box bounds must be finite")
         if not np.all(lo < hi):
@@ -305,10 +315,8 @@ class NoiseBundle:
     backward: np.ndarray
 
     def __post_init__(self):
-        want = ((self.M, self.grid.N, self.d), (self.grid.N, self.l))
-        if (np.shape(self.forward), np.shape(self.backward)) != want:
-            raise InvalidParameterError(f"noise shapes {np.shape(self.forward)}, "
-                                        f"{np.shape(self.backward)}; expected {want}")
+        _shaped("forward noise", self.forward, (self.M, self.grid.N, self.d))
+        _shaped("backward noise", self.backward, (self.grid.N, self.l))
 
 
 def sample_noise(seed: int, M: int, grid: TimeGrid, d: int, l: int) -> NoiseBundle:

@@ -26,6 +26,7 @@ from .model import (
     InvalidParameterError,
     InvalidStartError,
     TimeGrid,
+    _shaped,
     _whole,
     sample_noise,
 )
@@ -134,11 +135,7 @@ def transform_to_bsde(
             "the transformation needs g as a function of time alone; "
             f"got a callable with {len(params)} required arguments"
         )
-    wpath = np.asarray(wpath, dtype=np.float64)
-    if wpath.shape != (grid.N, coeffs.l):
-        raise InvalidParameterError(
-            f"backward path shape {wpath.shape}, expected {(grid.N, coeffs.l)}"
-        )
+    wpath = _shaped("backward path W", wpath, (grid.N, coeffs.l))
 
     offsets = np.zeros((grid.N + 1, coeffs.k))
     for n in range(grid.N):
@@ -150,7 +147,8 @@ def transform_to_bsde(
                 f"g({grid.times[n + 1]}) has shape {gv.shape}, "
                 f"expected ({coeffs.k}, {coeffs.l})"
             ) from None
-        offsets[n + 1] = offsets[n] + gv @ wpath[n]
+        with np.errstate(invalid="ignore", over="ignore"):  # refused below
+            offsets[n + 1] = offsets[n] + gv @ wpath[n]
     if not np.isfinite(offsets).all():
         raise EvaluationError("time-only g produced non-finite offsets")
     offsets.setflags(write=False)
@@ -192,14 +190,10 @@ def spde_point(
     resampled; the forward noise is drawn once per call, shared by all points.
     """
     n = grid.index_of(t_n)
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != coeffs.d:
-        raise InvalidParameterError(f"points shape {points.shape}, expected (P, {coeffs.d})")
-    wpath = np.array(wpath, dtype=np.float64)
-    if wpath.shape != (grid.N, coeffs.l) or not np.isfinite(wpath).all():
-        raise InvalidParameterError(
-            f"backward path must be finite with shape {(grid.N, coeffs.l)}, got "
-            f"shape {wpath.shape}")
+    points = _shaped("points", points, ("P", coeffs.d))
+    wpath = _shaped("backward path W", wpath, (grid.N, coeffs.l)).copy()
+    if not np.isfinite(wpath).all():
+        raise InvalidParameterError("backward path W must be finite")
     wpath.setflags(write=False)
     # where the stopped scheme stops at once (at T, or inside the exit-shift
     # collar) the field takes the boundary payoff: u = phi(t_n, x), v = 0
@@ -261,42 +255,24 @@ def spde_error(
     realizes the expectation over the external noise; rho defaults to 1
     and weights default to a plain average over the lattice.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise InvalidParameterError(f"points must be (P, d), got {points.shape}")
+    points = _shaped("points", points, ("P", "d"))
     P = points.shape[0]
-    u_num = np.asarray(u_num, dtype=np.float64)
-    v_num = np.asarray(v_num, dtype=np.float64)
-    if u_num.ndim == 3:
-        u_num = u_num[None]
-    if v_num.ndim == 4:
-        v_num = v_num[None]
-    if u_num.ndim != 4 or u_num.shape[1] != grid.N + 1 or u_num.shape[2] != P:
-        raise InvalidParameterError(
-            f"u values have shape {u_num.shape}, expected (R, {grid.N + 1}, {P}, k)"
-        )
-    if (v_num.ndim != 5 or v_num.shape[0] != u_num.shape[0]
-            or v_num.shape[1] != grid.N or v_num.shape[2] != P):
-        raise InvalidParameterError(
-            f"v values have shape {v_num.shape}, expected "
-            f"({u_num.shape[0]}, {grid.N}, {P}, k, d)"
-        )
-    if weights is None:
-        w = np.full(P, 1.0 / P)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (P,):
-            raise InvalidParameterError(f"weights shape {w.shape}, expected ({P},)")
-    rw = w if rho is None else w * np.asarray(rho(points), dtype=np.float64)
+    u_num = _shaped("u values", np.expand_dims(u_num, 0) if np.ndim(u_num) == 3 else u_num,
+                    ("R", grid.N + 1, P, "k"))
+    R, k = u_num.shape[0], u_num.shape[3]
+    v_num = _shaped("v values", np.expand_dims(v_num, 0) if np.ndim(v_num) == 4 else v_num,
+                    (R, grid.N, P, k, points.shape[1]))
+    w = np.full(P, 1.0 / P) if weights is None else _shaped("weights", weights, (P,))
+    rw = w if rho is None else w * _shaped("rho(points)", rho(points), (P,))
 
     worst_u = 0.0
     for i in range(grid.N + 1):
-        ref = np.asarray(u_ref(float(grid.times[i]), points), dtype=np.float64)
+        ref = _shaped("u_ref(t, points)", u_ref(float(grid.times[i]), points), (P, k))
         gap = np.sum((u_num[:, i] - ref) ** 2, axis=-1)      # (R, P)
         worst_u = max(worst_u, float(np.mean(gap @ rw)))
     v_sum = 0.0
     for n in range(grid.N):
-        ref = np.asarray(v_ref(float(grid.times[n]), points), dtype=np.float64)
+        ref = _shaped("v_ref(t, points)", v_ref(float(grid.times[n]), points), v_num.shape[2:])
         gap = np.sum((v_num[:, n] - ref) ** 2, axis=(-2, -1))  # (R, P)
         v_sum += grid.h * float(np.mean(gap @ rw))
     return worst_u + v_sum

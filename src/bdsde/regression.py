@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import EvaluationError, InvalidParameterError
+from .model import EvaluationError, InvalidParameterError, _shaped
 
 Array = np.ndarray
 
@@ -54,9 +54,7 @@ class HypercubePartition:
 
     def cell_index(self, x: Array) -> Array:
         """Flat cell index for each row of x, or -1 outside [d1, d2)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.d:
-            raise InvalidParameterError(f"points must have shape (M, {self.d}), got {x.shape}")
+        x = _shaped("points", x, ("M", self.d))
         # C-order flat id, summed axis by axis in floats (exact: at most 2**53
         # cells) and cast once, after outside points are set to -1
         flat, inside = 0.0, True
@@ -75,12 +73,8 @@ class HypercubePartition:
 
 def build_partition(d1, d2, delta: float) -> HypercubePartition:
     """Partition [d1, d2) into ceil((d2 - d1)/delta) cells per dimension."""
-    d1 = np.atleast_1d(np.asarray(d1, dtype=np.float64))
-    d2 = np.atleast_1d(np.asarray(d2, dtype=np.float64))
-    if d1.shape != d2.shape or d1.ndim != 1:
-        raise InvalidParameterError(
-            f"bound shapes differ or are not vectors: {d1.shape} vs {d2.shape}"
-        )
+    d1 = _shaped("lower bounds d1", np.atleast_1d(d1), ("d",))
+    d2 = _shaped("upper bounds d2", np.atleast_1d(d2), d1.shape)
     if not np.all(d1 < d2):
         raise InvalidParameterError("lower bounds must be strictly below upper bounds")
     if not (np.isfinite(delta) and delta > 0.0):
@@ -128,21 +122,14 @@ def gather(coefficients: Array, cells: Array) -> Array:
 # ------------------------------- projection -------------------------------- #
 
 def _validate_samples(xs: Array, vs: Array, mask: Optional[Array]) -> tuple:
-    xs = np.asarray(xs, dtype=np.float64)
-    vs = np.asarray(vs, dtype=np.float64)
+    xs = _shaped("samples", xs, ("M", "d"))
     M = xs.shape[0]
     if M < 1:
         raise InvalidParameterError("projection needs at least one sample")
-    if vs.shape[0] != M:
-        raise InvalidParameterError(f"sample and target counts differ: {M} vs {vs.shape[0]}")
+    vs = _shaped("targets", vs, (M,) + np.shape(vs)[1:])
     if vs.ndim < 2:
         vs = vs[:, None]
-    if mask is None:
-        mask = np.ones(M, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (M,):
-            raise InvalidParameterError(f"mask shape {mask.shape}, expected ({M},)")
+    mask = np.ones(M, dtype=bool) if mask is None else _shaped("mask", mask, (M,)).astype(bool)
     return xs, vs, mask
 
 

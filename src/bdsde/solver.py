@@ -31,6 +31,7 @@ from .model import (
     InvalidParameterError,
     NoiseBundle,
     TimeGrid,
+    _shaped,
     _whole,
 )
 from .regression import HypercubePartition, fit_plan, gather, project
@@ -203,9 +204,7 @@ def backward_induction(
     if terminal is None:
         term = terminal_values(paths, run_coeffs)
     else:
-        term = np.asarray(terminal, dtype=np.float64)
-        if term.shape != (M, k):
-            raise InvalidParameterError(f"terminal override shape {term.shape}, expected {(M, k)}")
+        term = _shaped("terminal override", terminal, (M, k))
         if not np.isfinite(term).all():
             raise InvalidParameterError("terminal override contains non-finite entries")
 
@@ -245,9 +244,7 @@ def backward_induction(
             raise type(err)(f"backward step n={n}: {err}") from err
         cells_next = cells
 
-    # row 0 of the time-0 states is the start point x0
-    Y0 = gather(y_funcs[0].coefficients, cells[:1])[0]
-    Z0 = gather(z_funcs[0].coefficients, cells[:1])[0]
+    Y0, Z0 = y_values[0, 0].copy(), z_values[0, 0].copy()
 
     # empty_cells_y, empty_cells_z, out_of_range_y, out_of_range_z
     per_step = [np.array([getattr(fn, attr) for fn in funcs])
@@ -314,8 +311,9 @@ def strong_error(
             continue
         x = paths.states[n, live]
         t = float(grid.times[n])
-        dy = np.asarray(reference_y(t, x), dtype=np.float64) - solution.y_values[n][live]
+        y, z = solution.y_values[n][live], solution.z_values[n][live]
+        dy = _shaped("reference_y(t, x)", reference_y(t, x), y.shape) - y
         worst_y = max(worst_y, float(np.mean(np.sum(dy * dy, axis=-1))))
-        dz = np.asarray(reference_z(t, x), dtype=np.float64) - solution.z_values[n][live]
+        dz = _shaped("reference_z(t, x)", reference_z(t, x), z.shape) - z
         z_sum += grid.h * float(np.mean(np.sum(dz * dz, axis=(-2, -1))))
     return worst_y + z_sum

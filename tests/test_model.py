@@ -18,9 +18,19 @@ from bdsde import (
     EvaluationError,
     InvalidParameterError,
     SolverConfig,
+    backward_induction,
     build_grid,
+    build_partition,
+    lsq_oracle,
     midpoint_lattice,
+    project,
     sample_noise,
+    simulate_stopped,
+    solve,
+    spde_error,
+    spde_point,
+    strong_error,
+    transform_to_bsde,
 )
 from bdsde.model import _BACKWARD_STREAM, _FORWARD_STREAM, _fill_gaussians
 
@@ -133,7 +143,7 @@ def test_box_rejects_bad_bounds():
         Domain.box([1.0], [1.0])
     with pytest.raises(InvalidParameterError):
         Domain.box([0.0, 5.0], [1.0, 2.0])
-    with pytest.raises(InvalidParameterError, match="equal length"):
+    with pytest.raises(InvalidParameterError, match=r"upper bounds must have shape \(2,\)"):
         Domain.box([0.0, 0.0], [1.0])
     with pytest.raises(InvalidParameterError, match="finite"):
         Domain.box([0.0], [np.inf])
@@ -391,7 +401,7 @@ def test_noise_bundle_refuses_arrays_that_do_not_fit_it():
     for swap in (dict(backward=nb.backward[1:]),
                  dict(backward=np.zeros((4, 2))),
                  dict(forward=nb.forward[1:])):
-        with pytest.raises(InvalidParameterError, match="noise shapes"):
+        with pytest.raises(InvalidParameterError, match="noise must have shape"):
             dataclasses.replace(nb, **swap)
     w = np.ones((4, 1))
     assert dataclasses.replace(nb, backward=w).backward is w
@@ -430,6 +440,116 @@ def test_every_count_argument_is_a_whole_number(site):
             stored(bad)
     out = stored(2.0)
     assert type(out) is int and out == 2
+
+
+# ------------------------------ array shapes -------------------------------- #
+
+# one small problem on [60, 200): 8 paths, 4 steps, a 3-point lattice
+_BOX = ([60.0], [200.0])
+
+
+def _shape_noise():
+    return sample_noise(1, 8, build_grid(0.25, 4), 1, 1)
+
+
+def _strong_error(**refs):
+    nb = _shape_noise()
+    sol = solve(_gbm_coeffs(), nb.grid, Domain.box(*_BOX), nb, [100.0],
+                build_partition(*_BOX, 20.0), SolverConfig("bsde"))
+    return strong_error(sol, **{"reference_y": lambda t, x: np.zeros((len(x), 1)),
+                                "reference_z": lambda t, x: np.zeros((len(x), 1, 1)), **refs})
+
+
+def _spde_error(**swap):
+    points, weights = midpoint_lattice(Domain.box(*_BOX), 3)
+    return spde_error(**{"u_num": np.zeros((5, 3, 1)), "v_num": np.zeros((4, 3, 1, 1)),
+                         "u_ref": lambda t, x: np.zeros((3, 1)),
+                         "v_ref": lambda t, x: np.zeros((3, 1, 1)), "rho": None,
+                         "grid": build_grid(0.25, 4), "points": points, "weights": weights,
+                         **swap})
+
+
+def _spde_point(points=((100.0,),), wpath=np.zeros((4, 1))):
+    return spde_point(_gbm_coeffs(), build_grid(0.25, 4), Domain.box(*_BOX), wpath, 0.0,
+                      points, 8, build_partition(*_BOX, 20.0), SolverConfig("bsde"), seed=1)
+
+
+def _terminal(terminal):
+    nb = _shape_noise()
+    paths = simulate_stopped(_gbm_coeffs(), nb.grid, Domain.whole_space(1), nb, [100.0])
+    return backward_induction(_gbm_coeffs(), nb.grid, paths, nb, build_partition(*_BOX, 20.0),
+                              SolverConfig("bsde"), terminal=terminal)
+
+
+_XS = np.zeros((3, 1))
+
+# every shape-checked array argument: a call that passes it misshapen, and
+# the message it raises
+_SHAPE_SITES = {
+    "cell_index points": (lambda: build_partition(*_BOX, 20.0).cell_index([100.0]),
+                          "points must have shape (M, 1), got (1,)"),
+    "build_partition d1": (lambda: build_partition([[60.0]], [[200.0]], 20.0),
+                           "lower bounds d1 must have shape (d,), got (1, 1)"),
+    "build_partition d2": (lambda: build_partition([60.0, 60.0], [200.0], 20.0),
+                           "upper bounds d2 must have shape (2,), got (1,)"),
+    "Domain.box lower": (lambda: Domain.box([[60.0]], [[200.0]]),
+                         "lower bounds must have shape (d,), got (1, 1)"),
+    "Domain.box upper": (lambda: Domain.box([60.0, 60.0], [200.0]),
+                         "upper bounds must have shape (2,), got (1,)"),
+    "NoiseBundle forward": (lambda: dataclasses.replace(_shape_noise(), forward=np.zeros((8, 4, 2))),
+                            "forward noise must have shape (8, 4, 1), got (8, 4, 2)"),
+    "NoiseBundle backward": (lambda: dataclasses.replace(_shape_noise(), backward=np.zeros(4)),
+                             "backward noise must have shape (4, 1), got (4,)"),
+    "simulate_stopped x0": (lambda: simulate_stopped(_gbm_coeffs(), build_grid(0.25, 4),
+                                                     Domain.box(*_BOX), _shape_noise(), [100.0, 100.0]),
+                            "start point must have shape (1,), got (2,)"),
+    "backward_induction terminal": (lambda: _terminal(np.zeros(8)),
+                                    "terminal override must have shape (8, 1), got (8,)"),
+    "project samples": (lambda: project(build_partition(*_BOX, 20.0), 1.0, np.zeros(3)),
+                        "samples must have shape (M, d), got ()"),
+    "project targets": (lambda: project(build_partition(*_BOX, 20.0), _XS, 5.0),
+                        "targets must have shape (3,), got ()"),
+    "project mask": (lambda: project(build_partition(*_BOX, 20.0), _XS, np.zeros(3), np.ones(2)),
+                     "mask must have shape (3,), got (2,)"),
+    "lsq_oracle samples": (lambda: lsq_oracle(build_partition(*_BOX, 20.0), 1.0, np.zeros(3)),
+                           "samples must have shape (M, d), got ()"),
+    "lsq_oracle targets": (lambda: lsq_oracle(build_partition(*_BOX, 20.0), _XS, 5.0),
+                           "targets must have shape (3,), got ()"),
+    "transform_to_bsde W": (lambda: transform_to_bsde(lambda t: 0.5, _gbm_coeffs(),
+                                                      build_grid(0.25, 4), np.zeros((3, 1))),
+                            "backward path W must have shape (4, 1), got (3, 1)"),
+    "spde_point points": (lambda: _spde_point(points=[100.0]),
+                          "points must have shape (P, 1), got (1,)"),
+    "spde_point W": (lambda: _spde_point(wpath=np.zeros(4)),
+                     "backward path W must have shape (4, 1), got (4,)"),
+    "spde_error points": (lambda: _spde_error(points=np.zeros(3)),
+                          "points must have shape (P, d), got (3,)"),
+    "spde_error u values": (lambda: _spde_error(u_num=np.zeros((4, 3, 1))),
+                            "u values must have shape (R, 5, 3, k), got (1, 4, 3, 1)"),
+    "spde_error v values": (lambda: _spde_error(v_num=np.zeros((3, 3, 1, 1))),
+                            "v values must have shape (1, 4, 3, 1, 1), got (1, 3, 3, 1, 1)"),
+    "spde_error weights": (lambda: _spde_error(weights=np.ones(2)),
+                           "weights must have shape (3,), got (2,)"),
+    # a reference map's output that would broadcast into a wrong error
+    "spde_error u_ref": (lambda: _spde_error(u_ref=lambda t, x: np.zeros(3)),
+                         "u_ref(t, points) must have shape (3, 1), got (3,)"),
+    "spde_error v_ref": (lambda: _spde_error(v_ref=lambda t, x: np.zeros((3, 1))),
+                         "v_ref(t, points) must have shape (3, 1, 1), got (3, 1)"),
+    "spde_error rho": (lambda: _spde_error(rho=lambda x: np.ones((3, 1))),
+                       "rho(points) must have shape (3,), got (3, 1)"),
+    "strong_error reference_y": (lambda: _strong_error(reference_y=lambda t, x: np.zeros(len(x))),
+                                 "reference_y(t, x) must have shape (8, 1), got (8,)"),
+    "strong_error reference_z": (lambda: _strong_error(reference_z=lambda t, x: np.zeros((len(x), 1))),
+                                 "reference_z(t, x) must have shape (8, 1, 1), got (8, 1)"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_SHAPE_SITES))
+def test_every_array_argument_has_one_shape_rule(site):
+    call, message = _SHAPE_SITES[site]
+    with pytest.raises(InvalidParameterError) as err:
+        call()
+    assert str(err.value) == message
 
 
 # ------------------------------- exports ----------------------------------- #

@@ -228,12 +228,17 @@ def test_transform_refuses_misshapen_inputs_and_non_finite_offsets():
     w = sample_noise(1, 1, grid, 1, 1).backward
     c = reference_coeffs()
     for bad_w in (w[1:], np.zeros((4, 2)), w[:, 0]):
-        with pytest.raises(InvalidParameterError, match="backward path shape"):
+        with pytest.raises(InvalidParameterError, match="backward path W must have shape"):
             transform_to_bsde(lambda t: 0.5, c, grid, bad_w)
     with pytest.raises(InvalidParameterError, match=r"expected \(1, 1\)"):
         transform_to_bsde(lambda t: np.ones(3), c, grid, w)
     with pytest.raises(EvaluationError, match="non-finite offsets"):
         transform_to_bsde(lambda t: np.nan, c, grid, w)
+    # an infinite g on a W of both signs sums inf - inf: refused, not warned about
+    two_signs = np.array([[0.1], [-0.2], [0.3], [-0.1]])
+    for g_value in (np.inf, -np.inf):
+        with pytest.raises(EvaluationError, match="non-finite offsets"):
+            transform_to_bsde(lambda t: g_value, c, grid, two_signs)
 
 
 def test_transform_round_trip_matches_direct_solve():
@@ -427,7 +432,7 @@ def test_spde_point_collar_and_outside_points():
     with pytest.raises(InvalidStartError, match="outside"):
         spde_point(c, grid, dom, wpath, float(grid.times[3]), [[100.0], [59.0]],
                    64, part, cfg, seed=2)
-    with pytest.raises(InvalidParameterError, match="points shape"):
+    with pytest.raises(InvalidParameterError, match=r"points must have shape \(P, 1\)"):
         spde_point(c, grid, dom, wpath, 0.0, [100.0], 64, part, cfg, seed=2)
 
 
@@ -531,7 +536,7 @@ def test_spde_error_shape_validation():
         spde_error(ok_u, np.zeros((3, 5, 1, 1)), ref, refv, None, grid, points, weights)
     with pytest.raises(InvalidParameterError):
         spde_error(ok_u, ok_v, ref, refv, None, grid, points, np.ones(3))
-    with pytest.raises(InvalidParameterError, match="points must be"):
+    with pytest.raises(InvalidParameterError, match=r"points must have shape \(P, d\)"):
         spde_error(ok_u, ok_v, ref, refv, None, grid, points[:, 0], weights)
 
 

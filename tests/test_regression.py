@@ -63,7 +63,7 @@ def test_build_partition_errors():
     with pytest.raises(InvalidParameterError):
         build_partition([1.0], [1.0], 0.5)
     for d1, d2 in (([0.0, 0.0], [1.0]), ([[0.0]], [[1.0]])):
-        with pytest.raises(InvalidParameterError, match="bound shapes"):
+        with pytest.raises(InvalidParameterError, match="bounds d[12] must have shape"):
             build_partition(d1, d2, 0.5)
     # flat ids are exact floats, so the cell count stops at 2**53
     with pytest.raises(InvalidParameterError, match="2\\*\\*53"):
@@ -194,10 +194,10 @@ def test_empty_sample_set_rejected():
 def test_target_count_and_mask_shape_must_match_the_samples():
     p = build_partition([0.0], [1.0], 1.0)
     xs = np.array([[0.1], [0.2], [0.3]])
-    with pytest.raises(InvalidParameterError, match="counts differ: 3 vs 2"):
+    with pytest.raises(InvalidParameterError, match=r"targets must have shape \(3, 1\), got \(2, 1\)"):
         project(p, xs, np.ones((2, 1)))
     for mask in (np.ones(2, dtype=bool), np.ones((3, 1), dtype=bool)):
-        with pytest.raises(InvalidParameterError, match=r"expected \(3,\)"):
+        with pytest.raises(InvalidParameterError, match=r"mask must have shape \(3,\)"):
             project(p, xs, np.ones((3, 1)), mask=mask)
 
 
