@@ -15,7 +15,6 @@ from .experiments import (
     ExperimentConfig,
     _run_set,
     _solve_seed,
-    _stats,
     build_problem,
     derived_seeds,
     dump_diagnostics,
@@ -83,9 +82,9 @@ def _cmd_run(config: ExperimentConfig, out: Optional[str], args) -> int:
             f"{v:.3g}" for v in diag.picard_residuals.max(axis=0)))
     if args.reps is not None:
         # the solve printed above is repetition 0
-        runs = _run_set(config, args.threads, problem, (0,), first=sol)
-        mean, std = _stats([run[0] for run in runs])
-        print(f"repetitions = {config.R_runs}: mean = {mean:.10g}, std = {std:.10g}")
+        stats = _run_set(config, args.threads, problem, (0,), first=sol)[0]
+        print(f"repetitions = {config.R_runs}: mean = {stats.mean:.10g}, "
+              f"std = {stats.std:.10g}")
     if out is not None:
         dump_diagnostics(sol, out)
         print(f"diagnostics written to {out}")

@@ -46,7 +46,6 @@ __all__ = [
     "load_config",
     "make_driver",
     "make_g",
-    "make_payoff",
     "repeat_runs",
     "run_convergence",
     "run_table",
@@ -95,13 +94,6 @@ def make_g(choice: str) -> Optional[Callable[..., np.ndarray]]:
     return g
 
 
-def make_payoff(K: float) -> Callable[..., np.ndarray]:
-    def phi(t, x):
-        return K - x
-
-    return phi
-
-
 # ------------------------------- configuration ----------------------------- #
 
 def _positive() -> dataclasses.Field:
@@ -143,7 +135,8 @@ class ExperimentConfig:
     delta: float = _positive()
     g_choice: str = _one_of(G_CHOICES)
     mode: str = _one_of(MODES)
-    seed: int
+    seed: int = dataclasses.field(metadata={
+        "rule": ("an unsigned 64-bit integer", lambda v: 0 <= v < 2 ** 64)})
     I: int = _at_least(0, default=3)
     R_runs: int = _at_least(2, default=50)
     shift_enabled: bool = True
@@ -182,10 +175,6 @@ class ExperimentConfig:
         if self.mode != "bsde" and self.g_choice == "none":
             raise ConfigError(
                 f"mode {self.mode!r} needs a g coupling; set g_choice"
-            )
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError(
-                f"seed must be an unsigned 64-bit integer, got {self.seed}"
             )
 
 
@@ -276,13 +265,13 @@ def build_problem(
     dimension d.
     """
     if coeffs is None:
-        mu, sc = config.mu, config.sigma_coef
+        mu, sc, K = config.mu, config.sigma_coef, config.K
         coeffs = CoefficientSet(
             d=1, k=1, l=1,
             b=lambda x: mu * x,
             sigma=lambda x: sc * x[..., None],
             f=make_driver(config.mu, config.sigma_coef, config.r, config.R),
-            phi=make_payoff(config.K),
+            phi=lambda t, x: K - x,
             g=make_g(config.g_choice),
         )
     elif not isinstance(coeffs, CoefficientSet):
@@ -301,17 +290,17 @@ def build_problem(
 
 @dataclass(frozen=True)
 class RunStats:
-    """Per-run first solution components with their mean and sample std."""
+    """One scalar estimate per run, with their mean and sample std."""
 
     values: Tuple[float, ...]
-    mean: float
-    std: float
-    R_runs: int
 
+    @property
+    def mean(self) -> float:
+        return float(np.asarray(self.values, dtype=np.float64).mean())
 
-def _stats(values: Sequence[float]) -> Tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std(ddof=1))
+    @property
+    def std(self) -> float:
+        return float(np.asarray(self.values, dtype=np.float64).std(ddof=1))
 
 
 def _solve_seed(config: ExperimentConfig, problem: tuple, seed: int) -> BackwardSolution:
@@ -328,35 +317,36 @@ def _run_set(
     problem: tuple,
     time_indices: Sequence[int],
     first: Optional[BackwardSolution] = None,
-) -> List[Dict[int, float]]:
+) -> Dict[int, RunStats]:
     """Solve ``build_problem``'s output for ``config`` config.R_runs times
-    with seeds seed+0 .. seed+R_runs-1.
+    with seeds seed+0 .. seed+R_runs-1, and collect each time index's estimates.
 
-    Each entry maps a time index n to the run's scalar estimate there: Y0 for
-    n = 0, otherwise the regression function averaged over the paths still
-    alive at t_n (over all paths if none survived, every value then being a
-    frozen exit payoff).  ``first``, if given, is the caller's solve of
-    seed+0 and stands in for it.
+    A run's estimate at time index n is Y0 for n = 0, otherwise the regression
+    function averaged over the paths still alive at t_n (over all paths if
+    none survived, every value then being a frozen exit payoff).  ``first``,
+    if given, is the caller's solve of seed+0 and stands in for it.
     """
     threads = _whole("threads", threads, 1)
     seeds = derived_seeds(config, config.R_runs)
 
-    def one(seed: int) -> Dict[int, float]:
+    def one(seed: int) -> List[float]:
         if first is not None and seed == config.seed:
             sol = first
         else:
             sol = _solve_seed(config, problem, seed)
-        snap: Dict[int, float] = {}
+        snap: List[float] = []
         for n in time_indices:
             if n == 0:
-                snap[0] = float(sol.Y0[0])
+                snap.append(float(sol.Y0[0]))
             else:
                 vals = sol.y_values[n][:, 0]
                 live = sol.paths.live_mask(n)
-                snap[n] = float(vals[live].mean() if live.any() else vals.mean())
+                snap.append(float(vals[live].mean() if live.any() else vals.mean()))
         return snap
 
-    return _map_on_cpus(one, seeds, workers=threads)
+    runs = _map_on_cpus(one, seeds, workers=threads)
+    return {n: RunStats(values=tuple(run[i] for run in runs))
+            for i, n in enumerate(time_indices)}
 
 
 def repeat_runs(
@@ -374,10 +364,7 @@ def repeat_runs(
     """
     if R_runs is not None:
         config = dataclasses.replace(config, R_runs=R_runs)
-    snaps = _run_set(config, threads, build_problem(config, coeffs), (0,))
-    values = tuple(s[0] for s in snaps)
-    mean, std = _stats(values)
-    return RunStats(values=values, mean=mean, std=std, R_runs=config.R_runs)
+    return _run_set(config, threads, build_problem(config, coeffs), (0,))[0]
 
 
 # ------------------------------ table and sweep ---------------------------- #
@@ -407,10 +394,9 @@ def run_table(config: ExperimentConfig, *, threads: int = 1) -> List[Tuple]:
         g_label = "none" if mode == "bsde" else config.g_choice
         for M in TABLE_M_GRID:
             combo = dataclasses.replace(config, mode=mode, M=M)
-            snaps = _run_set(combo, threads, build_problem(combo), times)
+            stats = _run_set(combo, threads, build_problem(combo), times)
             for n in times:
-                mean, std = _stats([s[n] for s in snaps])
-                rows.append((n, mode, g_label, M, mean, std))
+                rows.append((n, mode, g_label, M, stats[n].mean, stats[n].std))
     rows.sort(key=lambda row: (row[0], row[1], row[3]))
     header = ("time_index", "mode", "g_choice", "M", "mean", "std")
     return [header] + rows

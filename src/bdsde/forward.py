@@ -110,8 +110,8 @@ def shift_width(
     (M,) array of C0 * sqrt(h) * ||sigma(x)[j, :]||, with j = axis.  The
     nearest face's normal is +-e_j, so the row is |n(x)^T sigma(x)|.
     """
-    if h <= 0.0:
-        raise InvalidParameterError(f"step must be positive, got h={h}")
+    if not 0.0 < h < np.inf:
+        raise InvalidParameterError(f"step must be positive and finite, got h={h}")
     x = np.asarray(x, dtype=np.float64)
     s = coeffs.eval_sigma(x)
     row = s[np.arange(x.shape[0]), axis]

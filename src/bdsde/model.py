@@ -66,8 +66,9 @@ class ConfigError(BdsdeError):
 
 def _whole(name: str, value, lo: int, hi: float = np.inf) -> int:
     """``value`` as an int (2.0 gives 2) if it is a whole number in [lo, hi), else an error."""
+    flag = isinstance(value, (bool, np.bool_))  # a flag, not a count
     try:
-        whole = int(value) if np.isfinite(float(value)) else None
+        whole = int(value) if not flag and np.isfinite(float(value)) else None
     except (TypeError, ValueError, OverflowError):  # a non-number, or beyond floats
         whole = None
     if whole is None or whole != value or not lo <= whole < hi:

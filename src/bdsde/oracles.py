@@ -75,8 +75,8 @@ def forward_contract_oracle(
     impossible or negligible; under phi = u at each path's exit time, with
     g = 0, Y_t = u(t, X_t) at every stopping time, so it is exact with exits.
     """
-    if K <= 0 or T <= 0:
-        raise InvalidParameterError(f"need K > 0 and T > 0, got K={K}, T={T}")
+    if not (0 < K < np.inf and 0 < T < np.inf):
+        raise InvalidParameterError(f"need finite K > 0 and T > 0, got K={K}, T={T}")
 
     def u(t: float, x: Array) -> Array:
         x = np.asarray(x, dtype=np.float64)

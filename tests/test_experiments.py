@@ -24,7 +24,6 @@ from bdsde import (
     load_config,
     make_driver,
     make_g,
-    make_payoff,
     repeat_runs,
     run_convergence,
     run_table,
@@ -79,7 +78,7 @@ def test_driver_at_oracle_point():
 
 
 def test_payoff_preset():
-    phi = make_payoff(115.0)
+    phi = build_problem(ExperimentConfig(**base_kwargs(K=115.0)))[0].phi
     x = np.array([[100.0], [130.0]])
     assert np.array_equal(phi(0.0, x), np.array([[15.0], [-15.0]]))
 
@@ -180,6 +179,7 @@ PAST_THE_RULE = {
     "I": (-1, "at least 0"), "R_runs": (1, "at least 2"),
     "g_choice": ("g4", f"one of {experiments.G_CHOICES}"),
     "mode": ("backward", f"one of {MODES}"),
+    "seed": (2 ** 64, "an unsigned 64-bit integer"),
 }
 
 
@@ -304,7 +304,7 @@ def test_repeat_runs_requires_two():
     # the override goes through the config's own check
     with pytest.raises(ConfigError, match="R_runs"):
         repeat_runs(cfg, 1)
-    for threads in (0, 1.5, np.nan, "2"):
+    for threads in (0, 1.5, np.nan, "2", True):
         with pytest.raises(InvalidParameterError, match="threads"):
             repeat_runs(cfg, 2, threads=threads)
 
@@ -313,7 +313,7 @@ def test_repeat_runs_degenerate_coefficients_are_exact():
     cfg = ExperimentConfig(**base_kwargs(g_choice="none", mode="bsde"))
     stats = repeat_runs(cfg, 3, coeffs=constant_solution_coeffs(2.5))
     assert stats.values == (2.5, 2.5, 2.5)
-    assert stats.mean == 2.5 and stats.std == 0.0 and stats.R_runs == 3
+    assert stats.mean == 2.5 and stats.std == 0.0 and len(stats.values) == 3
 
 
 def test_seed_discipline_matches_standalone_solve():

@@ -49,7 +49,7 @@ def test_shift_width_degenerate_cases():
     x = np.array([[0.3], [0.9]])
     zero_sigma = dataclasses.replace(gbm_coeffs(), sigma=lambda x: np.zeros(x.shape + (1,)))
     assert shift_width(dom.nearest_face(x)[1], x, zero_sigma, 0.01) == pytest.approx([0.0, 0.0])
-    for h in (0.0, -0.01):
+    for h in (0.0, -0.01, np.nan, np.inf):
         with pytest.raises(InvalidParameterError, match="step must be positive"):
             shift_width(dom.nearest_face(x)[1], x, gbm_coeffs(), h)
 

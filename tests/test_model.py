@@ -435,7 +435,7 @@ _COUNT_SITES = {
 @pytest.mark.parametrize("site", sorted(_COUNT_SITES))
 def test_every_count_argument_is_a_whole_number(site):
     floor, stored = _COUNT_SITES[site]
-    for bad in (np.nan, np.inf, -np.inf, 1.5, "3", 10 ** 400, floor - 1):
+    for bad in (np.nan, np.inf, -np.inf, 1.5, "3", 10 ** 400, floor - 1, True, False):
         with pytest.raises(InvalidParameterError, match="whole number"):
             stored(bad)
     out = stored(2.0)

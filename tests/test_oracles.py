@@ -92,6 +92,11 @@ def test_oracle_rejects_bad_parameters():
         forward_contract_oracle(-1.0, RATE, 0.25, gbm_sigma)
     with pytest.raises(InvalidParameterError):
         forward_contract_oracle(STRIKE, RATE, 0.0, gbm_sigma)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidParameterError):
+            forward_contract_oracle(bad, RATE, 0.25, gbm_sigma)
+        with pytest.raises(InvalidParameterError):
+            forward_contract_oracle(STRIKE, RATE, bad, gbm_sigma)
 
 
 # ---------------------- stopped scheme against the closed form -------------- #

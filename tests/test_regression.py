@@ -82,6 +82,15 @@ def test_build_partition_errors():
             build_partition(d1, d2, delta)
 
 
+def test_build_partition_freezes_its_own_bounds_not_the_callers():
+    d1, d2 = np.array([0.0]), np.array([1.0])
+    p = build_partition(d1, d2, 0.5)
+    assert d1.flags.writeable and d2.flags.writeable
+    assert not (p.d1.flags.writeable or p.d2.flags.writeable or p.L_per_dim.flags.writeable)
+    d1[0] = -1.0
+    assert p.d1[0] == 0.0
+
+
 # ------------------------------- projection -------------------------------- #
 
 def test_cell_mean_basic():
