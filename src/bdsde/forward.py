@@ -57,9 +57,9 @@ class PathSet:
     states is time-major, (N+1, M, d), so the states at t_i are the
     contiguous block states[i].  Paths are frozen after exit:
     states[i, m] == states[exit_index[m], m] for every i >= exit_index[m].
-    exit_index lies in {1..N}; N doubles as the no-exit sentinel, and
-    exit_detected distinguishes a genuine last-step exit from plain
-    survival to maturity.
+    exit_index lies in {0..N}: 0 means the start lay in the shift collar,
+    and N doubles as the no-exit sentinel, so exit_detected distinguishes a
+    genuine last-step exit from plain survival to maturity.
     """
 
     grid: TimeGrid
@@ -142,13 +142,14 @@ def simulate_stopped(
     """Evolve M Euler paths from x0 and stop each at its first discrete exit.
 
     One test decides membership in the shrunken open domain, for the start
-    point and after every step: the nearest-face distance of x exceeds
-    shift_width(x), strictly, with width 0 when the shift is off.  The
-    distance is negative outside the box, so a point leaving the box and a
-    point entering the shift collar both fail it.  The whole space (the box
-    with infinite bounds) is never left, so neither test nor shift is
-    computed there.  Each step copies the block states[i] to states[i+1] and
-    writes over it the running paths, carried compactly with their indices.
+    point and after every step: the nearest-face distance of x (negative
+    outside the box) exceeds shift_width(x), strictly, with width 0 when the
+    shift is off.  Paths stop where they fail it, so a start in the shift
+    collar stops every path at t_0; a start outside the open domain, or a
+    non-finite one, raises InvalidStartError.  The whole space (the box with
+    infinite bounds) is never left, so neither test nor shift is computed
+    there.  Each step copies the block states[i] to states[i+1] and writes
+    over it the running paths, carried compactly with their indices.
     """
     if not noise.d == domain.d == coeffs.d:
         raise InvalidParameterError(
@@ -162,27 +163,19 @@ def simulate_stopped(
         raise InvalidStartError(f"start point {x0} lies outside the open domain")
     test_exits = not domain.is_whole_space
 
-    def shifted_test(x: Array) -> tuple:
-        """Shift widths at the rows of x and which rows lie strictly inside;
-        one face scan gives both the distance and the shift's axis."""
+    def shifted_test(x: Array) -> Array:
+        """Which rows of x lie strictly inside the shrunken domain; one face
+        scan gives both the distance and the shift's axis."""
         dist, axis = domain.nearest_face(x)
-        width = (shift_width(axis, x, coeffs, grid.h) if shift_enabled
-                 else np.zeros(x.shape[0]))
-        return width, dist > width
-
-    if test_exits:
-        w0, ok = shifted_test(x0[None, :])
-        if not ok[0]:
-            raise InvalidStartError(
-                f"start point {x0} is inside the domain but within the "
-                f"boundary shift {w0[0]:.6g} of its boundary"
-            )
+        return dist > (shift_width(axis, x, coeffs, grid.h) if shift_enabled else 0.0)
 
     M, N, d = noise.M, grid.N, coeffs.d
     states = np.empty((N + 1, M, d))
     states[0] = x0
-    exit_index = np.full(M, N, dtype=np.int64)
-    live, x = np.arange(M), states[0]    # running paths and their states
+    start_inside = not test_exits or shifted_test(x0[None, :])[0]
+    exit_index = np.full(M, N if start_inside else 0, dtype=np.int64)
+    live = np.arange(M if start_inside else 0)
+    x = states[0, :live.size]            # the running paths' states
 
     for i in range(N):
         states[i + 1] = states[i]
@@ -191,7 +184,7 @@ def simulate_stopped(
         x = euler_step(coeffs, x, grid.h, noise.forward[live, i])
         states[i + 1, live] = x
         if test_exits:
-            inside = shifted_test(x)[1]
+            inside = shifted_test(x)
             exit_index[live[~inside]] = i + 1
             live, x = live[inside], x[inside]
     exit_detected = np.ones(M, dtype=bool)

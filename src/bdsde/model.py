@@ -53,7 +53,7 @@ class InvalidParameterError(BdsdeError, ValueError):
 
 
 class InvalidStartError(InvalidParameterError):
-    """The forward simulation start point is not inside the (shifted) domain."""
+    """The forward simulation start point lies outside the open domain."""
 
 
 class EvaluationError(BdsdeError, ArithmeticError):

@@ -24,7 +24,6 @@ from .model import (
     Domain,
     EvaluationError,
     InvalidParameterError,
-    InvalidStartError,
     TimeGrid,
     _shaped,
     _whole,
@@ -185,8 +184,10 @@ def spde_point(
 
     Restarts the diffusion at (t_n, x) for every row x of ``points`` (P, d)
     on the tail grid {t_n, ..., T}, which keeps the absolute grid times, and
-    returns the stacked (Y0, Z0) as u (P, k) and v (P, k, d).  The whole W
-    (N, l) is checked, even at t_n = T, then frozen and sliced to W[n:], never
+    returns the stacked (Y0, Z0) as u (P, k) and v (P, k, d).  Where the
+    stopped scheme stops at once (at t_n = T, whose tail grid has no step,
+    or in the exit-shift collar) that solve gives u = phi(t_n, x) and v = 0.
+    The whole W (N, l) is checked, then frozen and sliced to W[n:], never
     resampled; the forward noise is drawn once per call, shared by all points.
     """
     n = grid.index_of(t_n)
@@ -195,24 +196,15 @@ def spde_point(
     if not np.isfinite(wpath).all():
         raise InvalidParameterError("backward path W must be finite")
     wpath.setflags(write=False)
-    # where the stopped scheme stops at once (at T, or inside the exit-shift
-    # collar) the field takes the boundary payoff: u = phi(t_n, x), v = 0
-    u = np.array(coeffs.eval_phi(float(grid.times[n]), points))
-    v = np.zeros((points.shape[0], coeffs.k, coeffs.d))
-    if n == grid.N:
-        return u, v
+    u = np.empty((points.shape[0], coeffs.k))
+    v = np.empty((points.shape[0], coeffs.k, coeffs.d))
 
     tail = dataclasses.replace(grid, times=grid.times[n:])
     noise = sample_noise(seed, M, tail, coeffs.d, coeffs.l)
     noise = dataclasses.replace(noise, backward=wpath[n:])
     for p, x in enumerate(points):
-        try:
-            sol = solve(coeffs, tail, domain, noise, x, partition, config,
-                        shift_enabled=shift_enabled)
-        except InvalidStartError:
-            if not domain.contains(x):
-                raise  # outside the open domain: no field value
-            continue   # inside the collar
+        sol = solve(coeffs, tail, domain, noise, x, partition, config,
+                    shift_enabled=shift_enabled)
         u[p], v[p] = sol.Y0, sol.Z0
         del sol  # release this restart's paths before the next one
     return u, v

@@ -201,10 +201,14 @@ def test_seed_plus_repetitions_overflow_exits_2(tmp_path, capsys):
 
 
 def test_runtime_errors_exit_3(tmp_path, capsys):
-    # start inside the exit-shift collar passes config checks, fails at solve
-    cfg = small_config(tmp_path, x0=60.5)
-    assert main(["run", "--config", cfg]) == 3
-    assert "shift" in capsys.readouterr().err
+    # a positive delta passes config checks; a basis of more than 2**53
+    # cells fails when the problem is built
+    assert main(["run", "--config", small_config(tmp_path, delta=1e-300)]) == 3
+    assert "2**53" in capsys.readouterr().err
+    # a start inside the exit-shift collar stops at t_0: the payoff, Z0 = 0
+    assert main(["run", "--config", small_config(tmp_path, x0=60.5)]) == 0
+    out = capsys.readouterr().out
+    assert "Y0 = 54.5\nZ0 = 0\nexit_fraction = 1\n" in out
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -369,8 +369,7 @@ def per_point_restart(coeffs, grid, domain, wpath, n, x, M, partition, config,
                       seed):
     """Reference field value at one lattice point from its own restart: a
     grid shifted to start at 0 with coefficients wrapped to t + t_n, a fresh
-    noise draw per point, and (phi, 0) at T or where the solve refuses a
-    start in the exit-shift collar."""
+    noise draw per point, and (phi, 0) at T."""
     x = np.asarray(x, dtype=np.float64)
     zero = np.zeros((coeffs.k, coeffs.d))
     if n == grid.N:
@@ -390,10 +389,7 @@ def per_point_restart(coeffs, grid, domain, wpath, n, x, M, partition, config,
         )
     noise = sample_noise(seed, M, sub_grid, coeffs.d, coeffs.l)
     noise = dataclasses.replace(noise, backward=wpath[n:])
-    try:
-        sol = solve(sub_coeffs, sub_grid, domain, noise, x, partition, config)
-    except InvalidStartError:
-        return coeffs.eval_phi(float(grid.times[n]), x[None, :])[0], zero
+    sol = solve(sub_coeffs, sub_grid, domain, noise, x, partition, config)
     return sol.Y0, sol.Z0
 
 
@@ -437,6 +433,17 @@ def test_spde_point_collar_and_outside_points():
     with pytest.raises(InvalidStartError, match="outside"):
         spde_point(c, grid, dom, wpath, float(grid.times[3]), [[100.0], [59.0]],
                    64, part, cfg, seed=2)
+    # t_n = T solves like every other time: the payoff, from the same checks
+    T = float(grid.times[-1])
+    u, v = spde_point(c, grid, dom, wpath, T, [[60.5], [100.0]], 64, part, cfg, seed=2)
+    assert (u[:, 0] == [115.0 - 60.5, 15.0]).all() and (v == 0.0).all()
+    with pytest.raises(InvalidStartError, match="outside"):
+        spde_point(c, grid, dom, wpath, T, [[250.0]], 64, part, cfg, seed=2)
+    for M in (0, 1.5):
+        with pytest.raises(InvalidParameterError, match="path count M"):
+            spde_point(c, grid, dom, wpath, T, [[100.0]], M, part, cfg, seed=2)
+    with pytest.raises(InvalidParameterError, match="seed"):
+        spde_point(c, grid, dom, wpath, T, [[100.0]], 64, part, cfg, seed=-1)
     with pytest.raises(InvalidParameterError, match=r"points must have shape \(P, 1\)"):
         spde_point(c, grid, dom, wpath, 0.0, [100.0], 64, part, cfg, seed=2)
 
