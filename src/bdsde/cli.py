@@ -62,10 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
 # ------------------------------- subcommands ------------------------------- #
 
 def _cmd_run(config: ExperimentConfig, out: Optional[str], args) -> int:
-    if args.reps is not None:
-        derived_seeds(config, config.R_runs)  # fail before printing a partial report
     problem = build_problem(config)
     sol = _solve_seed(config, problem, config.seed)
+    if args.reps is not None:
+        stats = _run_set(config, args.threads, problem, (0,), first=sol)[0]
     diag = sol.diagnostics
     print(f"mode = {config.mode}, g_choice = {config.g_choice}, "
           f"N = {config.N}, M = {config.M}, delta = {config.delta:g}, "
@@ -81,8 +81,6 @@ def _cmd_run(config: ExperimentConfig, out: Optional[str], args) -> int:
         print("max_picard_residual_by_sweep = " + " ".join(
             f"{v:.3g}" for v in diag.picard_residuals.max(axis=0)))
     if args.reps is not None:
-        # the solve printed above is repetition 0
-        stats = _run_set(config, args.threads, problem, (0,), first=sol)[0]
         print(f"repetitions = {config.R_runs}: mean = {stats.mean:.10g}, "
               f"std = {stats.std:.10g}")
     if out is not None:

@@ -318,8 +318,8 @@ def _run_set(
     time_indices: Sequence[int],
     first: Optional[BackwardSolution] = None,
 ) -> Dict[int, RunStats]:
-    """Solve ``build_problem``'s output for ``config`` config.R_runs times
-    with seeds seed+0 .. seed+R_runs-1, and collect each time index's estimates.
+    """Solve ``problem``, ``build_problem``'s output for ``config``, once per
+    seed seed+0 .. seed+R_runs-1, and collect each time index's estimates.
 
     A run's estimate at time index n is Y0 for n = 0, otherwise the regression
     function averaged over the paths still alive at t_n (over all paths if

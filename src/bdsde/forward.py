@@ -4,8 +4,8 @@ The state evolves on a uniform grid by
 
     X_{i+1} = X_i + b(X_i) h + sigma(X_i) dB_i
 
-and is frozen at the first index i >= 1 where it leaves a shrunken copy of
-the open domain.  The shrinkage,
+and is frozen at the first index i >= 0 (0: a start in the shift collar)
+where it lies outside a shrunken copy of the open domain.  The shrinkage,
 
     shift(x) = C0 * sqrt(h) * | n(x)^T sigma(x) |,        C0 = 0.5826,
 
@@ -179,8 +179,6 @@ def simulate_stopped(
 
     for i in range(N):
         states[i + 1] = states[i]
-        if live.size == 0:
-            continue
         x = euler_step(coeffs, x, grid.h, noise.forward[live, i])
         states[i + 1, live] = x
         if test_exits:

@@ -156,7 +156,7 @@ class Domain:
         hi = _shaped("upper bounds", np.atleast_1d(upper), lo.shape).copy()
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise InvalidParameterError("box bounds must be finite")
-        if not np.all(lo < hi):
+        if not (lo.size and np.all(lo < hi)):
             raise InvalidParameterError(f"need lower < upper componentwise, got {lo} vs {hi}")
         lo.setflags(write=False)
         hi.setflags(write=False)
@@ -200,7 +200,8 @@ class Domain:
 # ----------------------------- Coefficients -------------------------------- #
 
 # Vectorisation contract for the user-supplied callables (leading axis = the
-# Monte Carlo sample axis of length M):
+# Monte Carlo sample axis of length M >= 1); CoefficientSet.eval_* is the one
+# caller, handing over read-only views of array arguments and checking outputs:
 #   b(x)            (M, d) -> (M, d)
 #   sigma(x)        (M, d) -> (M, d, d)
 #   f(t, x, y, z)   scalar t, (M, d), (M, k), (M, k, d) -> (M, k)
@@ -231,29 +232,38 @@ class CoefficientSet:
         for name in ("d", "k", "l"):
             object.__setattr__(self, name, _whole(f"dimension {name}", getattr(self, name), 1))
 
-    # Each eval_* wrapper enforces the output shape and finiteness lazily,
-    # naming the offending coefficient as required by the error contract.
-
     def eval_b(self, x: np.ndarray) -> np.ndarray:
-        return _checked("b", self.b(x), x.shape[:-1] + (self.d,), x)
+        return _call("b", self.b, x.shape[:-1] + (self.d,), x, x)
 
     def eval_sigma(self, x: np.ndarray) -> np.ndarray:
-        return _checked("sigma", self.sigma(x), x.shape[:-1] + (self.d, self.d), x)
+        return _call("sigma", self.sigma, x.shape[:-1] + (self.d, self.d), x, x)
 
     def eval_f(self, t: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return _checked("f", self.f(t, x, y, z), x.shape[:-1] + (self.k,), x)
+        return _call("f", self.f, x.shape[:-1] + (self.k,), x, t, x, y, z)
 
     def eval_g(self, t: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         if self.g is None:
             raise InvalidParameterError("coefficient g is not configured")
-        return _checked("g", self.g(t, x, y, z), x.shape[:-1] + (self.k, self.l), x)
+        return _call("g", self.g, x.shape[:-1] + (self.k, self.l), x, t, x, y, z)
 
     def eval_phi(self, t, x: np.ndarray) -> np.ndarray:
-        return _checked("phi", self.phi(t, x), x.shape[:-1] + (self.k,), x)
+        return _call("phi", self.phi, x.shape[:-1] + (self.k,), x, t, x)
 
 
-def _checked(name: str, out, shape: tuple, x: np.ndarray) -> np.ndarray:
-    out = np.asarray(out, dtype=np.float64)
+def _read_only(a):
+    if isinstance(a, np.ndarray):
+        a = a.view()
+        a.setflags(write=False)
+    return a
+
+
+def _call(name: str, fn: Driver, shape: tuple, x: np.ndarray, *args) -> np.ndarray:
+    """fn(*args), each array argument a read-only view, checked for ``shape``
+    and finiteness and naming coefficient ``name`` on failure.  When x has no
+    rows (``shape`` holds a 0), fn is not called and an empty array returns."""
+    if 0 in shape:
+        return np.empty(shape)
+    out = np.asarray(fn(*map(_read_only, args)), dtype=np.float64)
     if out.shape != shape:
         raise EvaluationError(f"coefficient {name} returned shape {out.shape}, expected {shape}")
     if not np.isfinite(out).all():

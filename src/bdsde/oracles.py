@@ -249,6 +249,8 @@ def spde_error(
     """
     points = _shaped("points", points, ("P", "d"))
     P = points.shape[0]
+    if P == 0:
+        raise InvalidParameterError("spde_error needs at least one lattice point")
     u_num = _shaped("u values", np.expand_dims(u_num, 0) if np.ndim(u_num) == 3 else u_num,
                     ("R", grid.N + 1, P, "k"))
     R, k = u_num.shape[0], u_num.shape[3]

@@ -75,7 +75,7 @@ def build_partition(d1, d2, delta: float) -> HypercubePartition:
     """Partition [d1, d2) into ceil((d2 - d1)/delta) cells per dimension."""
     d1 = _shaped("lower bounds d1", np.atleast_1d(d1), ("d",)).copy()
     d2 = _shaped("upper bounds d2", np.atleast_1d(d2), d1.shape).copy()
-    if not np.all(d1 < d2):
+    if not (d1.size and np.all(d1 < d2)):
         raise InvalidParameterError("lower bounds must be strictly below upper bounds")
     if not (np.isfinite(delta) and delta > 0.0):
         raise InvalidParameterError(f"cell edge must be positive, got delta={delta}")

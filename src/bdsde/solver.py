@@ -108,13 +108,6 @@ def terminal_values(paths: PathSet, coeffs: CoefficientSet) -> Array:
     return coeffs.eval_phi(paths.exit_time, paths.exit_state)
 
 
-def _live_rows(a: Array, rows) -> Array:
-    """Read-only ``a[rows]``, a view of ``a`` when every path is live."""
-    out = a[rows]
-    out.flags.writeable = False
-    return out
-
-
 def z_step(paths: PathSet, live: Array, cells: Array, base: Array,
            dB_n: Array, partition: HypercubePartition) -> tuple:
     """Explicit regression for z at step n.
@@ -151,16 +144,15 @@ def y_step(n: int, paths: PathSet, live: Array, rows, cells: Array, base: Array,
     if picard_iterations == 0:
         y_fn = plan.fit(base)
     else:
-        x_live, z_live = _live_rows(paths.states[n], rows), _live_rows(z_n, rows)
+        x_live, z_live = paths.states[n][rows], z_n[rows]
         cells_live = cells[rows]
         t_n = float(paths.grid.times[n])
         coef = np.zeros((partition.total_cells, coeffs.k))
         target = base.copy()
         for it in range(picard_iterations):
-            if cells_live.size:
-                hf = paths.grid.h * coeffs.eval_f(t_n, x_live, gather(coef, cells_live), z_live)
-                hf += base[rows]
-                target[rows] = hf
+            hf = paths.grid.h * coeffs.eval_f(t_n, x_live, gather(coef, cells_live), z_live)
+            hf += base[rows]
+            target[rows] = hf
             y_fn = plan.fit(target)
             residuals[it] = float(np.max(np.abs(y_fn.coefficients - coef)))
             coef = y_fn.coefficients
@@ -228,12 +220,12 @@ def backward_induction(
             # base = y_{n+1} + g(t_{n+1}, X_{n+1}, y_{n+1}, z_{n+1}(X_{n+1})) dW_n
             # on live paths, shared by the z- and the y-regression
             base = y_values[n + 1].copy()
-            if run_coeffs.g is not None and live.any():
-                x_next = _live_rows(paths.states[n + 1], rows)
+            if run_coeffs.g is not None:
+                x_next = paths.states[n + 1][rows]
                 z_next = (np.zeros((x_next.shape[0], k, d)) if n == N - 1
                           else gather(z_funcs[n + 1].coefficients, cells_next[rows]))
                 gv = run_coeffs.eval_g(float(grid.times[n + 1]), x_next,
-                                       _live_rows(y_values[n + 1], rows), z_next)
+                                       y_values[n + 1][rows], z_next)
                 base[rows] += gv @ noise.backward[n]
             z_funcs[n], z_values[n] = z_step(paths, live, cells, base,
                                              noise.forward[:, n], partition)

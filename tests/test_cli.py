@@ -96,6 +96,22 @@ def test_run_reps_solves_each_seed_once(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.count(line) == 2
 
 
+def test_run_reps_prints_nothing_when_a_repetition_fails(tmp_path, capsys, monkeypatch):
+    # every repetition runs before the first report line is printed
+    cfg = small_config(tmp_path)
+    failing_seed = load_config(cfg).seed + 1
+
+    def failing(coeffs, grid, domain, noise, *args, **kwargs):
+        if noise.seed == failing_seed:
+            raise bdsde.EvaluationError("injected failure")
+        return solve(coeffs, grid, domain, noise, *args, **kwargs)
+
+    monkeypatch.setattr(bdsde.experiments, "solve", failing)
+    assert main(["run", "--config", cfg, "--reps", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "injected failure" in captured.err
+
+
 def test_run_reps_builds_the_problem_once(tmp_path, capsys, monkeypatch):
     # the printed solve and the repetitions share one build_problem
     cfg = small_config(tmp_path)

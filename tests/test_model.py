@@ -147,6 +147,8 @@ def test_box_rejects_bad_bounds():
         Domain.box([0.0, 0.0], [1.0])
     with pytest.raises(InvalidParameterError, match="finite"):
         Domain.box([0.0], [np.inf])
+    with pytest.raises(InvalidParameterError, match="lower < upper"):
+        Domain.box([], [])  # no dimension
 
 
 # ----------------------------- coefficients -------------------------------- #
@@ -176,6 +178,18 @@ def test_coefficient_shapes_checked():
     )
     with pytest.raises(EvaluationError, match="b"):
         bad.eval_b(x)
+
+
+def test_no_coefficient_call_on_zero_rows():
+    def refuse(*args):
+        raise AssertionError("coefficient called on zero rows")
+
+    c = CoefficientSet(d=2, k=3, l=4, b=refuse, sigma=refuse, f=refuse, phi=refuse, g=refuse)
+    x, y, z = np.zeros((0, 2)), np.zeros((0, 3)), np.zeros((0, 3, 2))
+    for out, shape in ((c.eval_b(x), (0, 2)), (c.eval_sigma(x), (0, 2, 2)),
+                       (c.eval_f(0.0, x, y, z), (0, 3)), (c.eval_g(0.0, x, y, z), (0, 3, 4)),
+                       (c.eval_phi(np.zeros(0), x), (0, 3))):
+        assert out.shape == shape and out.dtype == np.float64
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in log")

@@ -160,6 +160,50 @@ def test_stopped_scheme_y_error_on_live_paths(stopped_runs):
     assert worst_y.max() < bound, (box, worst_y)
 
 
+# The 2-d analogue, with corner exits, the (1, 2) z and a 2-d cell lookup:
+# b(x) = r x, sigma(x)_ij = x_i S_ij, f = -r y, g = 0 and the payoff
+# phi(t, x) = u(t, x) = K e^{-r (T - t)} - x_1 - x_2, so Y_t = u(t, X_t).
+S_2D, STRIKE_2D = np.array([[0.2, 0.0], [0.1, 0.15]]), 230.0
+
+
+def closed_form_2d_coeffs():
+    def payoff(t, x):
+        t = np.asarray(t, dtype=np.float64)[..., None]
+        return STRIKE_2D * np.exp(-RATE * (0.25 - t)) - x.sum(axis=-1, keepdims=True)
+
+    return CoefficientSet(
+        d=2, k=1, l=1,
+        b=lambda x: RATE * x,
+        sigma=lambda x: x[..., :, None] * S_2D,
+        f=lambda t, x, y, z: -RATE * y,
+        phi=payoff,
+        g=lambda t, x, y, z: np.zeros(y.shape + (1,)),  # the mode needs a g
+    )
+
+
+def test_stopped_scheme_y0_matches_2d_closed_form_with_exits():
+    # M=16384, N=20, box = basis = (90, 110)^2, delta=1, seeds 1-8 (about
+    # 1 s).  Over 30 disjoint 8-seed sets the gap was -0.89 +- 0.94
+    # standard errors (range -3.02 to +0.96) and the exit fraction
+    # 0.798-0.802, so 4 standard errors leaves about one beyond the worst
+    # set, and the 0.5 floor keeps most paths exiting
+    grid = build_grid(0.25, 20)
+    lo, hi = [90.0, 90.0], [110.0, 110.0]
+    dom, part = Domain.box(lo, hi), build_partition(lo, hi, 1.0)
+    u0 = STRIKE_2D * np.exp(-RATE * 0.25) - 200.0
+    exits, gaps = [], []
+    for seed in range(1, 9):
+        sol = solve(closed_form_2d_coeffs(), grid, dom, sample_noise(seed, 16384, grid, 2, 1),
+                    [100.0, 100.0], part, SolverConfig(mode="bdsde-random-terminal"))
+        exits.append(sol.diagnostics.exit_fraction)
+        gaps.append(sol.Y0[0] - u0)
+    exits, gaps = np.array(exits), np.array(gaps)
+    se = gaps.std(ddof=1) / np.sqrt(gaps.size)
+    print(f"2-d: exit fraction {exits.mean():.3f}, Y0 - u0 = {gaps.mean():+.4f} +- {se:.4f}")
+    assert exits.mean() > 0.5
+    assert abs(gaps.mean()) < 4.0 * se
+
+
 def test_spde_point_near_the_boundary_matches_closed_form():
     grid = build_grid(0.25, 20)
     dom = Domain.box([90.0], [110.0])
@@ -550,6 +594,11 @@ def test_spde_error_shape_validation():
         spde_error(ok_u, ok_v, ref, refv, None, grid, points, np.ones(3))
     with pytest.raises(InvalidParameterError, match=r"points must have shape \(P, d\)"):
         spde_error(ok_u, ok_v, ref, refv, None, grid, points[:, 0], weights)
+    # no lattice point, with the default weights and with empty ones
+    for w in (None, np.zeros(0)):
+        with pytest.raises(InvalidParameterError, match="at least one lattice point"):
+            spde_error(np.zeros((5, 0, 1)), np.zeros((4, 0, 1, 1)), ref, refv, None, grid,
+                       np.zeros((0, 1)), w)
 
 
 def test_spde_error_decreases_under_refinement():

@@ -62,6 +62,8 @@ def test_multidimensional_c_order():
 def test_build_partition_errors():
     with pytest.raises(InvalidParameterError):
         build_partition([1.0], [1.0], 0.5)
+    with pytest.raises(InvalidParameterError, match="strictly below"):
+        build_partition([], [], 1.0)  # no dimension
     for d1, d2 in (([0.0, 0.0], [1.0]), ([[0.0]], [[1.0]])):
         with pytest.raises(InvalidParameterError, match="bounds d[12] must have shape"):
             build_partition(d1, d2, 0.5)

@@ -228,17 +228,21 @@ def test_one_plan_per_population_and_one_lookup_per_step(monkeypatch):
 
 
 @pytest.mark.parametrize("bounds", [(60.0, 200.0), (90.0, 110.0)])
-@pytest.mark.parametrize("target", ["g_x", "g_y", "f_x", "f_z"])
+@pytest.mark.parametrize("target", ["g_x", "g_y", "f_x", "f_z", "b_x", "sigma_x", "phi_x"])
 def test_coefficients_cannot_write_into_the_solution(bounds, target):
     # on an all-live step the live rows are views of the states, y_{n+1}
-    # and z_n; every array handed to f or g is read-only, views or not
+    # and z_n, and b first sees a view of the start states[0]; every array
+    # handed to a coefficient is read-only, views or not
     name, arg = target.split("_")
-
-    def writing(t, x, y, z):
-        {"x": x, "y": y, "z": z}[arg][...] = 0.0
-        return np.zeros_like(y) if name == "f" else np.zeros(y.shape + (1,))
-
     c = reference_coeffs(g=g_linear)
+    honest = getattr(c, name)
+
+    def writing(*args):
+        out = honest(*args)
+        names = {1: "x", 2: "tx", 4: "txyz"}[len(args)]  # b and sigma, phi, f and g
+        args[names.index(arg)][...] = 0.0
+        return out
+
     c = dataclasses.replace(c, **{name: writing})
     g = build_grid(0.25, 4)
     nb = sample_noise(5, 256, g, 1, 1)
@@ -246,6 +250,25 @@ def test_coefficients_cannot_write_into_the_solution(bounds, target):
     with pytest.raises(ValueError, match="read-only"):
         solve(c, g, Domain.box([lo], [hi]), nb, [100.0], build_partition([lo], [hi], 1.0),
               SolverConfig(mode="bdsde-random-terminal"))
+
+
+def test_no_zero_row_call_when_every_path_exits_before_maturity():
+    sizes = {"f": [], "g": []}
+
+    def recording(name, fn):
+        return lambda t, x, y, z: sizes[name].append(x.shape[0]) or fn(t, x, y, z)
+
+    c = reference_coeffs(g=g_linear)
+    c = dataclasses.replace(c, f=recording("f", c.f), g=recording("g", g_linear))
+    g = build_grid(0.25, 20)
+    sol = solve(c, g, Domain.box([98.0], [102.0]), sample_noise(4, 256, g, 1, 1), [100.0],
+                build_partition([98.0], [102.0], 1.0),
+                SolverConfig(mode="bdsde-random-terminal"))
+    last = sol.paths.exit_index.max()
+    assert sol.paths.exit_detected.all() and last < g.N
+    # steps n < last have a live path: one g call each and I = 3 f calls
+    assert (len(sizes["g"]), len(sizes["f"])) == (last, 3 * last)
+    assert min(sizes["f"] + sizes["g"]) > 0
 
 
 # --------------------- single-pass step vs per-step reference --------------- #
