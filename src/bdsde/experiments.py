@@ -66,9 +66,19 @@ def make_driver(
     theta = (mu - r) / sigma_coef
 
     def f(t, x, y, z):
+        # (-theta z - r y) + max(-(y - z/sigma), 0) (R - r), one operation
+        # at a time in that order, on two arrays
         zs = z[:, :, 0]
-        neg = np.maximum(-(y - zs / sigma_coef), 0.0)
-        return -theta * zs - r * y + neg * (R - r)
+        out = zs * -theta
+        tmp = np.multiply(y, r)
+        out -= tmp
+        np.divide(zs, sigma_coef, out=tmp)
+        np.subtract(y, tmp, out=tmp)
+        np.negative(tmp, out=tmp)
+        np.maximum(tmp, 0.0, out=tmp)
+        tmp *= R - r
+        out += tmp
+        return out
 
     return f
 

@@ -113,9 +113,12 @@ def shift_width(
     if not 0.0 < h < np.inf:
         raise InvalidParameterError(f"step must be positive and finite, got h={h}")
     x = np.asarray(x, dtype=np.float64)
+    M, d = x.shape
     s = coeffs.eval_sigma(x)
-    row = s[np.arange(x.shape[0]), axis]
-    return C0 * np.sqrt(h) * np.linalg.norm(row, axis=-1)
+    # row axis[m] of each s[m], read with one flat take; the norm is the
+    # sum of squares np.linalg.norm forms
+    row = s.reshape(M * d, d).take(np.arange(0, M * d, d) + axis, axis=0)
+    return C0 * np.sqrt(h) * np.sqrt((row * row).sum(-1))
 
 
 def euler_step(coeffs: CoefficientSet, x: Array, h: float, dB: Array) -> Array:
@@ -148,8 +151,10 @@ def simulate_stopped(
     collar stops every path at t_0; a start outside the open domain, or a
     non-finite one, raises InvalidStartError.  The whole space (the box with
     infinite bounds) is never left, so neither test nor shift is computed
-    there.  Each step copies the block states[i] to states[i+1] and writes
-    over it the running paths, carried compactly with their indices.
+    there.  While every path runs, a step reads the block noise.forward[i]
+    and writes states[i+1] whole; after the first exit the running paths are
+    carried compactly with their indices, and a step copies the block
+    states[i] to states[i+1] and scatters the running paths over it.
     """
     if not noise.d == domain.d == coeffs.d:
         raise InvalidParameterError(
@@ -174,19 +179,26 @@ def simulate_stopped(
     states[0] = x0
     start_inside = not test_exits or shifted_test(x0[None, :])[0]
     exit_index = np.full(M, N if start_inside else 0, dtype=np.int64)
-    live = np.arange(M if start_inside else 0)
-    x = states[0, :live.size]            # the running paths' states
+    live = None if start_inside else np.arange(0)   # None while every path runs
+    x = states[0, :M if start_inside else 0]        # the running paths' states
 
     for i in range(N):
-        states[i + 1] = states[i]
-        x = euler_step(coeffs, x, grid.h, noise.forward[live, i])
-        states[i + 1, live] = x
+        if live is None:
+            x = euler_step(coeffs, x, grid.h, noise.forward[i])
+            states[i + 1] = x
+        else:
+            x = euler_step(coeffs, x, grid.h, noise.forward[i].take(live, axis=0))
+            states[i + 1] = states[i]
+            states[i + 1, live] = x
         if test_exits:
             inside = shifted_test(x)
-            exit_index[live[~inside]] = i + 1
-            live, x = live[inside], x[inside]
+            if not inside.all():
+                rows = np.arange(M) if live is None else live
+                exit_index[rows[~inside]] = i + 1
+                keep = np.flatnonzero(inside)
+                live, x = rows.take(keep), x.take(keep, axis=0)
     exit_detected = np.ones(M, dtype=bool)
-    exit_detected[live] = False
+    exit_detected[slice(None) if live is None else live] = False
 
     for a in (states, exit_index, exit_detected):
         a.setflags(write=False)

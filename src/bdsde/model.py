@@ -5,7 +5,7 @@ t_i = i*h of [0, T], h = T/N.  Two independent Brownian drivers feed the
 scheme:
 
     B   forward noise, one d-dimensional path per Monte Carlo sample,
-        increments ``dB[m, i]`` with coordinatewise variance h;
+        increments ``dB[i, m]`` (time-major) with coordinatewise variance h;
     W   external (backward) noise, a single l-dimensional path shared by
         every sample and every regression within a run, increments ``dW[i]``.
 
@@ -278,7 +278,7 @@ def _call(name: str, fn: Driver, shape: tuple, x: np.ndarray, *args) -> np.ndarr
 
 _FORWARD_STREAM = 0
 _BACKWARD_STREAM = 1
-_CHUNK_WORDS = 2 ** 18   # a multiple of 4: every chunk starts a Philox block
+_SCRATCH_WORDS = 2 ** 16   # scratch of the noise fill, summed over its workers
 
 
 def _fill_gaussians(out: np.ndarray, seed: int, stream: int, start: int) -> np.ndarray:
@@ -311,7 +311,9 @@ def _map_on_cpus(fn: Callable, items: Sequence, workers: int) -> list:
 
 @dataclass(frozen=True)
 class NoiseBundle:
-    """Brownian increments for one run: forward (M, N, d), backward (N, l).
+    """Brownian increments for one run: forward (N, M, d), time-major so the
+    increments of step i are the contiguous block forward[i], and backward
+    (N, l).
 
     Every coordinate is N(0, h), regenerable bit-exactly from its Philox
     words (module docstring); ``dataclasses.replace`` swaps in arrays of the same shapes.
@@ -326,37 +328,49 @@ class NoiseBundle:
     backward: np.ndarray
 
     def __post_init__(self):
-        _shaped("forward noise", self.forward, (self.M, self.grid.N, self.d))
+        _shaped("forward noise", self.forward, (self.grid.N, self.M, self.d))
         _shaped("backward noise", self.backward, (self.grid.N, self.l))
 
 
 def sample_noise(seed: int, M: int, grid: TimeGrid, d: int, l: int) -> NoiseBundle:
     """Draw the full increment bundle for one run.
 
-    Forward words are laid out C-contiguously as (m, i, coordinate) on stream
-    0, the single shared backward path as (i, coordinate) on stream 1, so the
-    output is identical for identical arguments regardless of how the caller
-    parallelises the surrounding computation.
+    Forward words are numbered path by path, (m, i, coordinate) in C order,
+    on stream 0: dB[i, m, c] owns word (m*N + i)*d + c.  The single shared
+    backward path is the same draw with M = 1 on stream 1, word i*l + c.
+    Chunks of whole paths are filled through a small scratch array and
+    written transposed into their column block of the time-major output, so
+    the output is identical for identical arguments regardless of how the
+    caller parallelises the surrounding computation.
     """
     M = _whole("path count M", M, 1)
     seed = _whole("seed", seed, 0, 2 ** 64)
     d, l = _whole("dimension d", d, 1), _whole("dimension l", l, 1)
     root_h = np.sqrt(grid.h)
 
-    def draw(stream: int, shape: tuple) -> np.ndarray:
-        out = np.empty(shape)
-        flat = out.reshape(-1)
+    def draw(stream: int, M: int, d: int) -> np.ndarray:
+        N = grid.N
+        out = np.empty((N, M, d))
+        # whole paths per chunk, so that the scratch blocks of all workers
+        # together hold at most _SCRATCH_WORDS words (a longer path is a chunk)
+        workers = os.cpu_count() or 1
+        paths = min(M, max(1, _SCRATCH_WORDS // (workers * max(N * d, 1))))
+        starts = range(0, M, paths)
 
-        def fill(start: int) -> None:
-            chunk = _fill_gaussians(flat[start:start + _CHUNK_WORDS], seed, stream, start)
-            chunk *= root_h
+        def fill(share: range) -> None:
+            scratch = np.empty((paths, N, d))
+            for m0 in share:
+                block = _fill_gaussians(scratch[:M - m0], seed, stream, m0 * N * d)
+                block *= root_h
+                out[:, m0:m0 + block.shape[0]] = block.transpose(1, 0, 2)
 
-        # disjoint slices of one array, each chunk on its own Philox counter
-        starts = range(0, flat.size, _CHUNK_WORDS)
-        _map_on_cpus(fill, starts, workers=len(starts))
+        # each worker fills every workers-th chunk into its own column blocks
+        # of one array, each chunk on its own Philox counter
+        shares = [starts[w::workers] for w in range(min(workers, len(starts)))]
+        _map_on_cpus(fill, shares, workers=len(shares))
         out.setflags(write=False)
         return out
 
     return NoiseBundle(seed=seed, grid=grid, M=M, d=d, l=l,
-                       forward=draw(_FORWARD_STREAM, (M, grid.N, d)),
-                       backward=draw(_BACKWARD_STREAM, (grid.N, l)))
+                       forward=draw(_FORWARD_STREAM, M, d),
+                       backward=draw(_BACKWARD_STREAM, 1, l)[:, 0])

@@ -57,17 +57,23 @@ class HypercubePartition:
         x = _shaped("points", x, ("M", self.d))
         # C-order flat id, summed axis by axis in floats (exact: at most 2**53
         # cells) and cast once, after outside points are set to -1
-        flat, inside = 0.0, True
         for a in range(self.d):
             col = x[:, a]
-            inside = inside & (col >= self.d1[a]) & (col < self.d2[a])
+            ok = col >= self.d1[a]
+            ok &= col < self.d2[a]
             j = col - self.d1[a]
             j /= self.delta
             # float roundoff near d2 can push floor to L; the last cell takes it
-            np.clip(np.floor(j, out=j), 0, self.L_per_dim[a] - 1, out=j)
-            j += flat * self.L_per_dim[a]
-            flat = j
-        flat[~inside] = -1.0
+            np.floor(j, out=j)
+            np.maximum(j, 0, out=j)
+            np.minimum(j, self.L_per_dim[a] - 1, out=j)
+            if a == 0:
+                flat, inside = j, ok
+            else:
+                flat *= self.L_per_dim[a]
+                flat += j
+                inside &= ok
+        np.copyto(flat, -1.0, where=~inside)
         return flat.astype(np.int64)
 
 

@@ -34,7 +34,7 @@ from .model import (
     _shaped,
     _whole,
 )
-from .regression import HypercubePartition, fit_plan, gather, project
+from .regression import FitPlan, HypercubePartition, fit_plan, gather, project
 
 Array = np.ndarray
 
@@ -108,56 +108,73 @@ def terminal_values(paths: PathSet, coeffs: CoefficientSet) -> Array:
     return coeffs.eval_phi(paths.exit_time, paths.exit_state)
 
 
-def z_step(paths: PathSet, live: Array, cells: Array, base: Array,
-           dB_n: Array, partition: HypercubePartition) -> tuple:
+def z_step(paths: PathSet, plan: FitPlan, cells: Array, base: Array,
+           dB_n: Array) -> tuple:
     """Explicit regression for z at step n.
 
-    Live-path targets base dB_n^T / h, with base = y_{n+1} + g dW_n, are
-    fitted at the time-n cell ids; the fit population is live paths only,
-    ``live = paths.live_mask(n)``.  Returns the fitted CellFunction and
-    realized values (zero rows for exited paths, whose plan bin is 0).
+    Targets base dB_n^T / h, with base = y_{n+1} + g dW_n, are fitted by
+    ``plan``, whose population is the live paths (masked by
+    ``paths.live_mask(n)`` after the first exit).  Returns the fitted
+    CellFunction and realized values at the time-n cell ids ``cells``, zero
+    for exited paths, whose plan bin is 0.
     """
-    targets = (base[:, :, None]
-               * np.asarray(dB_n, dtype=np.float64)[:, None, :] / paths.grid.h)
-    plan = fit_plan(partition, cells, live)
+    targets = base[:, :, None] * np.asarray(dB_n, dtype=np.float64)[:, None, :]
+    targets /= paths.grid.h
     z_fn = plan.fit(targets)
-    return z_fn, gather(z_fn.coefficients, plan.bins - 1)
+    ids = cells if plan.mask is None else plan.bins - 1
+    return z_fn, gather(z_fn.coefficients, ids)
 
 
-def y_step(n: int, paths: PathSet, live: Array, rows, cells: Array, base: Array,
-           z_n: Array, coeffs: CoefficientSet, partition: HypercubePartition,
-           picard_iterations: int) -> tuple:
+def y_step(n: int, paths: PathSet, plan: FitPlan, live: Optional[Array], cells: Array,
+           base: Array, z_n: Array, coeffs: CoefficientSet, picard_iterations: int) -> tuple:
     """Implicit regression for y at step n via Picard iteration from zero.
 
-    Every path contributes to the fit population: live paths carry the
-    full target base + h f with base = y_{n+1} + g dW_n, exited paths carry
-    their frozen value so the conditional-mean term survives for their
-    cells.  One fit plan serves every sweep.  The iterates live as
+    Every path contributes to the fit population, whose ``plan`` serves
+    every sweep: live paths carry the full target base + h f with
+    base = y_{n+1} + g dW_n, exited paths carry their frozen value so the
+    conditional-mean term survives for their cells.  The iterates live as
     coefficient arrays and are read back at the live paths' cell ids
-    (``live`` is ``paths.live_mask(n)``, ``rows`` its indices or, when
-    every path is live, the whole slice).  With zero iterations the
-    projection of base is returned and f never enters.  Returns
-    (CellFunction, realized values, residuals).
+    (``live`` is ``paths.live_mask(n)``, None while every path is live).
+    With zero iterations the projection of base is returned and f never
+    enters.  Returns (CellFunction, realized values, residuals).
     """
-    plan = fit_plan(partition, cells)
     residuals = np.zeros(picard_iterations)
     if picard_iterations == 0:
         y_fn = plan.fit(base)
     else:
-        x_live, z_live = paths.states[n][rows], z_n[rows]
-        cells_live = cells[rows]
+        rows = None if live is None else np.flatnonzero(live)
+        x_live, z_live, cells_live, base_live = _live(rows, paths.states[n], z_n, cells, base)
         t_n = float(paths.grid.times[n])
-        coef = np.zeros((partition.total_cells, coeffs.k))
-        target = base.copy()
+        coef = np.zeros((plan.partition.total_cells, coeffs.k))
+        target = None if rows is None else base.copy()
         for it in range(picard_iterations):
             hf = paths.grid.h * coeffs.eval_f(t_n, x_live, gather(coef, cells_live), z_live)
-            hf += base[rows]
-            target[rows] = hf
-            y_fn = plan.fit(target)
+            hf += base_live
+            if rows is not None:
+                target[rows] = hf
+            y_fn = plan.fit(hf if rows is None else target)
             residuals[it] = float(np.max(np.abs(y_fn.coefficients - coef)))
             coef = y_fn.coefficients
-    realized = np.where(live[:, None], gather(y_fn.coefficients, cells), base)
+    realized = gather(y_fn.coefficients, cells)
+    if live is not None:
+        realized = np.where(live[:, None], realized, base)
     return y_fn, realized, residuals
+
+
+def _live(rows: Optional[Array], *arrays: Array) -> tuple:
+    """The live rows of each array: the arrays themselves while every path
+    is live (``rows`` None), else their rows at the indices ``rows``."""
+    return arrays if rows is None else tuple(a[rows] for a in arrays)
+
+
+def _g_times(gv: Array, dW_n: Array) -> Array:
+    """gv @ dW_n for g values (M, k, l); at l = 1 the elementwise product,
+    whose + 0.0 turns -0.0 into the +0.0 that matmul's sum gives."""
+    if dW_n.shape[0] > 1:
+        return gv @ dW_n
+    out = gv[:, :, 0] * dW_n[0]
+    out += 0.0
+    return out
 
 
 # ------------------------------ full recursion ----------------------------- #
@@ -211,27 +228,32 @@ def backward_induction(
     # cell ids of the time-n states, computed once per step; the ids of
     # step n+1 are kept one step longer to read z_{n+1} at X_{n+1}
     cells_next: Optional[Array] = None
+    first_exit = int(paths.exit_index.min())
     for n in range(N - 1, -1, -1):
-        live = paths.live_mask(n)
-        # with every path live, whole arrays replace gathers through an index
-        rows = slice(None) if live.all() else np.flatnonzero(live)
+        # before the first exit every path is live: no mask, whole arrays
+        # instead of gathers, and one plan for the z- and the y-fit
+        live = None if n < first_exit else paths.live_mask(n)
         cells = partition.cell_index(paths.states[n])
+        plan = fit_plan(partition, cells)
         try:
             # base = y_{n+1} + g(t_{n+1}, X_{n+1}, y_{n+1}, z_{n+1}(X_{n+1})) dW_n
             # on live paths, shared by the z- and the y-regression
             base = y_values[n + 1].copy()
             if run_coeffs.g is not None:
-                x_next = paths.states[n + 1][rows]
+                rows = None if live is None else np.flatnonzero(live)
+                x_next, y_next = _live(rows, paths.states[n + 1], y_values[n + 1])
                 z_next = (np.zeros((x_next.shape[0], k, d)) if n == N - 1
-                          else gather(z_funcs[n + 1].coefficients, cells_next[rows]))
-                gv = run_coeffs.eval_g(float(grid.times[n + 1]), x_next,
-                                       y_values[n + 1][rows], z_next)
-                base[rows] += gv @ noise.backward[n]
-            z_funcs[n], z_values[n] = z_step(paths, live, cells, base,
-                                             noise.forward[:, n], partition)
+                          else gather(z_funcs[n + 1].coefficients, *_live(rows, cells_next)))
+                gv = run_coeffs.eval_g(float(grid.times[n + 1]), x_next, y_next, z_next)
+                g_dW = _g_times(gv, noise.backward[n])
+                if rows is None:
+                    base += g_dW
+                else:
+                    base[rows] += g_dW
+            z_plan = plan if live is None else fit_plan(partition, cells, live)
+            z_funcs[n], z_values[n] = z_step(paths, z_plan, cells, base, noise.forward[n])
             y_funcs[n], y_values[n], residuals[n] = y_step(
-                n, paths, live, rows, cells, base, z_values[n], run_coeffs,
-                partition, I)
+                n, paths, plan, live, cells, base, z_values[n], run_coeffs, I)
         except BdsdeError as err:
             raise type(err)(f"backward step n={n}: {err}") from err
         cells_next = cells

@@ -77,6 +77,33 @@ def test_driver_at_oracle_point():
     assert f(0.0, x, y2, z2)[0, 0] == pytest.approx(0.01 + 0.05, rel=1e-14)
 
 
+@st.composite
+def driver_problems(draw):
+    rate = st.floats(-0.5, 0.5) | st.sampled_from([0.0, -0.0])
+    params = (draw(rate), draw(st.floats(0.01, 2.0) | st.sampled_from([-0.3])),
+              draw(rate), draw(rate))
+    M, k = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    value = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
+    y = np.array(draw(st.lists(value, min_size=M * k, max_size=M * k))).reshape(M, k)
+    z = np.array(draw(st.lists(value, min_size=M * k, max_size=M * k))).reshape(M, k, 1)
+    return params, y, z
+
+
+@settings(max_examples=300, deadline=None)
+@given(driver_problems())
+def test_driver_equals_its_expression_form(problem):
+    # the in-place driver gives the bytes of the expression it computes,
+    # signed zeros included, on read-only arguments as the solver hands them
+    (mu, sigma_coef, r, R), y, z = problem
+    theta = (mu - r) / sigma_coef
+    zs = z[:, :, 0]
+    want = -theta * zs - r * y + np.maximum(-(y - zs / sigma_coef), 0.0) * (R - r)
+    for a in (y, z):
+        a.setflags(write=False)
+    got = make_driver(mu, sigma_coef, r, R)(0.0, np.ones((len(y), 1)), y, z)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_payoff_preset():
     phi = build_problem(ExperimentConfig(**base_kwargs(K=115.0)))[0].phi
     x = np.array([[100.0], [130.0]])
@@ -365,12 +392,13 @@ def test_repetition_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
 @given(seed=st.integers(0, 2 ** 32), reps=st.integers(2, 4),
        threads=st.sampled_from([1, 2, 3]))
 def test_y0_does_not_depend_on_batching_across_threads(seed, reps, threads):
-    # 4 CPUs, so 3 repetitions really run at once, and 64-word noise chunks,
-    # so every repetition fills its noise on a pool nested in its own thread
+    # 4 CPUs, so 3 repetitions really run at once, and a 64-word noise
+    # scratch, so every repetition fills its noise on a pool nested in its
+    # own thread
     cfg = ExperimentConfig(**base_kwargs(M=64, seed=seed))
     serial = repeat_runs(cfg, reps)
     with mock.patch.object(model.os, "cpu_count", lambda: 4), \
-            mock.patch.object(model, "_CHUNK_WORDS", 64):
+            mock.patch.object(model, "_SCRATCH_WORDS", 64):
         assert repeat_runs(cfg, reps, threads=threads).values == serial.values
 
 

@@ -54,6 +54,29 @@ def test_shift_width_degenerate_cases():
             shift_width(dom.nearest_face(x)[1], x, gbm_coeffs(), h)
 
 
+@st.composite
+def sigma_rows(draw):
+    d = draw(st.integers(1, 3))
+    M = draw(st.integers(0, 12))
+    entry = st.floats(-1e150, 1e150) | st.sampled_from([0.0, -0.0, 1e-300, -1e-300])
+    s = np.array(draw(st.lists(entry, min_size=M * d * d, max_size=M * d * d))).reshape(M, d, d)
+    axis = np.array(draw(st.lists(st.integers(0, d - 1), min_size=M, max_size=M)), dtype=np.intp)
+    return s, axis, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma_rows(), st.floats(1e-6, 10.0))
+def test_shift_width_equals_the_indexed_norm(problem, h):
+    # one flat take and the sum of squares give the bytes of the 2-D fancy
+    # index and np.linalg.norm, also for a sigma returned transposed
+    s, axis, transposed = problem
+    M, d = s.shape[:2]
+    out = s.transpose(0, 2, 1).copy().transpose(0, 2, 1) if transposed else s
+    coeffs = dataclasses.replace(gbm_coeffs(), d=d, sigma=lambda x: out)
+    want = C0 * np.sqrt(h) * np.linalg.norm(s[np.arange(M), axis], axis=-1)
+    assert shift_width(axis, np.zeros((M, d)), coeffs, h).tobytes() == want.tobytes()
+
+
 # ------------------------------ euler step --------------------------------- #
 
 def test_euler_step_reference_value():
@@ -185,7 +208,7 @@ def test_path_permutation_equivariance():
     dom = Domain.box([90.0], [110.0])
     base = simulate_stopped(gbm_coeffs(), g, dom, nb, [100.0])
     perm = np.random.default_rng(0).permutation(64)
-    nb_p = dataclasses.replace(nb, forward=nb.forward[perm])
+    nb_p = dataclasses.replace(nb, forward=nb.forward[:, perm])
     shuffled = simulate_stopped(gbm_coeffs(), g, dom, nb_p, [100.0])
     assert np.array_equal(shuffled.states, base.states[:, perm])
     assert np.array_equal(shuffled.exit_index, base.exit_index[perm])
@@ -298,7 +321,7 @@ def reference_stopped(coeffs, grid, domain, noise, x0, shift_enabled=True):
         frozen = np.nonzero(~alive)[0]
         if idx.size:
             states[idx, i + 1] = euler_step(coeffs, states[idx, i], grid.h,
-                                            noise.forward[idx, i])
+                                            noise.forward[i, idx])
         if frozen.size:
             states[frozen, i + 1] = states[frozen, i]
         if test_exits and idx.size:

@@ -2,6 +2,7 @@
 export list."""
 
 import dataclasses
+import sys
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -231,8 +232,8 @@ def gaussian_words(seed, stream, start, count):
 
 
 def forward_increment(nb, m, i):
-    """dB[m, i] regenerated from its own words of the (m, i, coordinate)
-    layout on the forward stream."""
+    """dB[i, m] regenerated from its own words of the path-major
+    (m, i, coordinate) numbering on the forward stream."""
     start = (m * nb.grid.N + i) * nb.d
     return gaussian_words(nb.seed, _FORWARD_STREAM, start, nb.d) * np.sqrt(nb.grid.h)
 
@@ -250,7 +251,7 @@ def test_noise_isolated_regeneration_bit_exact():
     for _ in range(25):
         m = int(rng.integers(0, 37))
         i = int(rng.integers(0, 8))
-        assert np.array_equal(forward_increment(nb, m, i), nb.forward[m, i])
+        assert np.array_equal(forward_increment(nb, m, i), nb.forward[i, m])
     for i in range(8):
         assert np.array_equal(backward_increment(nb, i), nb.backward[i])
 
@@ -318,10 +319,21 @@ def test_fill_keeps_the_top_word_finite(monkeypatch):
     assert got[-1] == ndtri(1.0 - 2.0 ** -53)
 
 
+def time_major(words, M, N, d):
+    """Path-major words (m, i, coordinate) as the time-major (N, M, d) bytes."""
+    return words.reshape(M, N, d).transpose(1, 0, 2).tobytes()
+
+
 def test_chunked_backward_noise_equals_one_shot_draw(monkeypatch):
-    # 8-word chunks: the 25 * 3 backward words span ten chunks, the last ragged
-    monkeypatch.setattr(model, "_CHUNK_WORDS", 8)
+    # an 8-word scratch on one CPU: the 25 * 3 backward words, one path,
+    # are longer than a chunk and so a chunk of their own; 3-word forward
+    # paths go 2 to a chunk, the last of the 4 chunks ragged
+    monkeypatch.setattr(model, "_SCRATCH_WORDS", 8)
+    monkeypatch.setattr(model.os, "cpu_count", lambda: 1)
     g = build_grid(1.0, 25)
+    nb = sample_noise(11, 7, dataclasses.replace(g, times=g.times[:2]), 3, 3)
+    whole = reference_gaussians(11, _FORWARD_STREAM, 0, 7 * 3) * np.sqrt(g.h)
+    assert nb.forward.tobytes() == time_major(whole, 7, 1, 3)
     nb = sample_noise(11, 2, g, 1, 3)
     whole = reference_gaussians(11, _BACKWARD_STREAM, 0, 25 * 3) * np.sqrt(g.h)
     assert nb.backward.shape == (25, 3)
@@ -329,18 +341,28 @@ def test_chunked_backward_noise_equals_one_shot_draw(monkeypatch):
 
 
 def test_chunked_noise_equals_one_shot_draw():
-    # 8195 * 256 words = 8 chunks of 2^18 plus a ragged tail of 768
+    # 8195 paths of 256 words: chunks of whole paths, the last one ragged
+    # (8195 is odd), written transposed into the time-major bundle
     g = build_grid(1.0, 256)
     nb = sample_noise(5, 8195, g, 1, 1)
     whole = gaussian_words(5, _FORWARD_STREAM, 0, 8195 * 256) * np.sqrt(g.h)
-    assert nb.forward.shape == (8195, 256, 1)
-    assert nb.forward.tobytes() == whole.tobytes()
+    assert nb.forward.shape == (256, 8195, 1)
+    assert nb.forward.tobytes() == time_major(whole, 8195, 256, 1)
+
+
+def test_zero_step_grid_draws_empty_noise():
+    # a tail grid at t_n = T, as spde_point draws it, holds no step
+    g = build_grid(0.25, 4)
+    nb = sample_noise(3, 5, dataclasses.replace(g, times=g.times[4:]), 2, 3)
+    assert nb.forward.shape == (0, 5, 2) and nb.backward.shape == (0, 3)
 
 
 @pytest.mark.parametrize("M, N, d, l", [(8195, 256, 1, 1), (3001, 100, 3, 2)])
 def test_noise_bytes_do_not_depend_on_the_worker_count(monkeypatch, M, N, d, l):
     # the stand-in records its size and is the real pool, so chunks are
-    # filled concurrently, up to 8 threads on however many CPUs there are
+    # filled concurrently into column blocks of one shared array, up to 8
+    # threads on however many CPUs there are; a 1 us switch interval makes
+    # the threads interleave as finely as the interpreter allows
     sizes = []
 
     class RecordingPool(model.ThreadPoolExecutor):
@@ -351,24 +373,33 @@ def test_noise_bytes_do_not_depend_on_the_worker_count(monkeypatch, M, N, d, l):
     monkeypatch.setattr(model, "ThreadPoolExecutor", RecordingPool)
     g = build_grid(1.0, N)
     words = M * N * d
-    chunks = -(-words // model._CHUNK_WORDS)
-    assert chunks > 2 and words % model._CHUNK_WORDS  # a ragged tail
-    fwd = (reference_gaussians(5, _FORWARD_STREAM, 0, words) * np.sqrt(g.h)).tobytes()
+    paths = model._SCRATCH_WORDS // (8 * N * d)   # per chunk with 8 workers
+    chunks = -(-M // paths)
+    assert chunks >= 16 and M % paths  # a ragged tail
+    assert M % (model._SCRATCH_WORDS // (2 * N * d))   # with 2 workers too
+    fwd = reference_gaussians(5, _FORWARD_STREAM, 0, words) * np.sqrt(g.h)
     bwd = (reference_gaussians(5, _BACKWARD_STREAM, 0, N * l) * np.sqrt(g.h)).tobytes()
-    for cpus in (None, 1, 2, 8):
-        monkeypatch.setattr(model.os, "cpu_count", lambda: cpus)
-        nb = sample_noise(5, M, g, d, l)
-        assert nb.forward.tobytes() == fwd and nb.backward.tobytes() == bwd
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (None, 1, 2, 8):
+            monkeypatch.setattr(model.os, "cpu_count", lambda: cpus)
+            nb = sample_noise(5, M, g, d, l)
+            assert nb.forward.tobytes() == time_major(fwd, M, N, d)
+            assert nb.backward.tobytes() == bwd
+    finally:
+        sys.setswitchinterval(switch)
     # one worker (no CPU count, 1 CPU, or one chunk even with 8 CPUs) fills
     # in the calling thread: no pool starts
-    small = sample_noise(5, 64, g, d, l)
-    assert small.forward.tobytes() == fwd[:small.forward.nbytes]
-    assert sizes == [2, min(chunks, 8)]
+    small = sample_noise(5, 16, g, d, l)
+    assert small.forward.tobytes() == time_major(fwd[:16 * N * d], 16, N, d)
+    assert sizes == [2, 8]
 
 
 def test_noise_temporaries_do_not_scale_with_the_draw():
-    # 16384 * 256 words = 32 MB of forward noise, transformed in place: what
-    # is left is a generator and a few small objects per chunk
+    # 16384 * 256 words = 32 MB of forward noise, filled through scratch
+    # blocks of at most 2^16 words (512 KB) for all workers together: what
+    # is left is the scratch, a generator and a few small objects per chunk
     g = build_grid(1.0, 256)
     tracemalloc.start()
     try:
@@ -392,8 +423,8 @@ def test_noise_moments():
     g = build_grid(0.25, 20)
     nb = sample_noise(123, 100_000, g, 1, 1)
     band = 4.0 * np.sqrt(g.h / 100_000)
-    assert np.abs(nb.forward.mean(axis=0)).max() < band
-    v = nb.forward.var(axis=0, ddof=1)
+    assert np.abs(nb.forward.mean(axis=1)).max() < band
+    v = nb.forward.var(axis=1, ddof=1)
     assert np.abs(v / g.h - 1.0).max() < 0.05
 
 
@@ -510,8 +541,8 @@ _SHAPE_SITES = {
                          "lower bounds must have shape (d,), got (1, 1)"),
     "Domain.box upper": (lambda: Domain.box([60.0, 60.0], [200.0]),
                          "upper bounds must have shape (2,), got (1,)"),
-    "NoiseBundle forward": (lambda: dataclasses.replace(_shape_noise(), forward=np.zeros((8, 4, 2))),
-                            "forward noise must have shape (8, 4, 1), got (8, 4, 2)"),
+    "NoiseBundle forward": (lambda: dataclasses.replace(_shape_noise(), forward=np.zeros((4, 8, 2))),
+                            "forward noise must have shape (4, 8, 1), got (4, 8, 2)"),
     "NoiseBundle backward": (lambda: dataclasses.replace(_shape_noise(), backward=np.zeros(4)),
                              "backward noise must have shape (4, 1), got (4,)"),
     "simulate_stopped x0": (lambda: simulate_stopped(_gbm_coeffs(), build_grid(0.25, 4),

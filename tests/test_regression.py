@@ -385,3 +385,32 @@ def test_cell_index_equals_the_ravel_multi_index_lookup(problem):
     ids = p.cell_index(x)
     assert ids.dtype == np.int64
     assert np.array_equal(ids, reference_cell_index(p, x))
+
+
+def clip_cell_index(p, x):
+    """The cell lookup as written with np.clip and a boolean mask, summing
+    the flat id axis by axis in floats."""
+    flat, inside = 0.0, True
+    for a in range(p.d):
+        col = x[:, a]
+        inside = inside & (col >= p.d1[a]) & (col < p.d2[a])
+        j = col - p.d1[a]
+        j /= p.delta
+        np.clip(np.floor(j, out=j), 0, p.L_per_dim[a] - 1, out=j)
+        j += flat * p.L_per_dim[a]
+        flat = j
+    flat[~inside] = -1.0
+    return flat.astype(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_problems())
+def test_cell_index_equals_the_clip_formula(problem):
+    # in-place clamps and a masked copy give the clip formula's ids, at d1,
+    # d2, d2 - ulp and outside the basis, in 1 to 3 dimensions
+    p, x = problem
+    x = np.concatenate([x, np.full((1, p.d), np.inf), np.full((1, p.d), -np.inf),
+                        np.full((1, p.d), np.nan)])
+    with np.errstate(invalid="ignore"):
+        want = clip_cell_index(p, x)
+    assert p.cell_index(x).tobytes() == want.tobytes()

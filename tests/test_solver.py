@@ -2,8 +2,10 @@
 
 import dataclasses
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from bdsde import (
     MODES,
@@ -26,7 +28,7 @@ from bdsde import (
     z_step,
 )
 from bdsde import regression, solver
-from bdsde.regression import HypercubePartition, project
+from bdsde.regression import HypercubePartition, fit_plan, project
 
 MU, VOL, RATE, RATE_HI, STRIKE = 0.05, 0.2, 0.01, 0.06, 115.0
 THETA = (MU - RATE) / VOL
@@ -159,8 +161,8 @@ def test_z_step_antithetic_increments_cancel():
     part = build_partition([0.0], [1.0], 1.0)
     y_next = np.full((2, 1), 4.25)
     cells = part.cell_index(ps.states[0])
-    z_fn, realized = z_step(ps, ps.live_mask(0), cells, y_next,
-                            np.array([[a], [-a]]), part)
+    z_fn, realized = z_step(ps, fit_plan(part, cells, ps.live_mask(0)), cells,
+                            y_next, np.array([[a], [-a]]))
     assert z_fn.coefficients[0, 0, 0] == 0.0   # exact cancellation
     assert (realized == 0.0).all()
 
@@ -179,34 +181,55 @@ def test_y_step_zero_iterations_skips_driver():
     y_next = np.array([[2.0], [6.0]])
     cells = part.cell_index(ps.states[0])
     live = ps.live_mask(0)
-    y_fn, realized, res = y_step(0, ps, live, np.flatnonzero(live), cells,
-                                 y_next, np.zeros((2, 1, 1)), c, part, 0)
+    y_fn, realized, res = y_step(0, ps, fit_plan(part, cells), live, cells,
+                                 y_next, np.zeros((2, 1, 1)), c, 0)
     assert y_fn.coefficients[0, 0] == pytest.approx(4.0)
     assert res.shape == (0,)
     assert realized[:, 0] == pytest.approx([4.0, 4.0])
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_g_term_equals_the_matmul(M, k, l, data):
+    # at l = 1 the g-term is an elementwise product plus 0.0; its bytes are
+    # matmul's, also where a factor is -0.0 or +0.0
+    value = st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0])
+    gv = np.array(data.draw(st.lists(value, min_size=M * k * l, max_size=M * k * l)))
+    w = np.array(data.draw(st.lists(value, min_size=l, max_size=l)))
+    gv = gv.reshape(M, k, l)
+    assert solver._g_times(gv, w).tobytes() == (gv @ w).tobytes()
+
+
 def test_one_live_mask_per_backward_step(monkeypatch):
+    # one mask per step from the first exit down to t_0, none on the steps
+    # before it, where every path is live
     g = build_grid(0.25, 20)
     nb = sample_noise(3, 512, g, 1, 1)
     coeffs = reference_coeffs(g=g_linear)
-    paths = simulate_stopped(coeffs, g, Domain.box([90.0], [110.0]), nb, [100.0])
-    calls = []
+    calls, first_exits = [], []
     live_mask = PathSet.live_mask
     monkeypatch.setattr(PathSet, "live_mask",
                         lambda self, i: calls.append(i) or live_mask(self, i))
-    backward_induction(coeffs, g, paths, nb, build_partition([90.0], [110.0], 1.0),
-                       SolverConfig(mode="bdsde-random-terminal"))
-    assert sorted(calls) == list(range(20))
+    for lo, hi in ((60.0, 200.0), (90.0, 110.0)):  # all live; with exits
+        paths = simulate_stopped(coeffs, g, Domain.box([lo], [hi]), nb, [100.0])
+        first_exits.append(int(paths.exit_index.min()))
+        calls.clear()
+        backward_induction(coeffs, g, paths, nb, build_partition([lo], [hi], 1.0),
+                           SolverConfig(mode="bdsde-random-terminal"))
+        assert sorted(calls) == list(range(first_exits[-1], 20))
+    assert first_exits[0] == 20 and 0 < first_exits[1] < 20
 
 
 def test_one_plan_per_population_and_one_lookup_per_step(monkeypatch):
-    # per step one plan for the live paths (z) and one for all paths (y,
-    # shared by the Picard sweeps), plus the terminal fit: 2N + 1 plans;
-    # one cell lookup per step plus the terminal one: N + 1
+    # per step one plan for all paths (y, shared by the Picard sweeps) and,
+    # from the first exit down, one for the live paths (z); before the first
+    # exit the two populations are equal and share the plan.  With the
+    # terminal fit: 2N + 1 plans minus the steps before the first exit, so
+    # N + 1 with every path live; one cell lookup per step plus the
+    # terminal one: N + 1
     g = build_grid(0.25, 20)
     nb = sample_noise(3, 512, g, 1, 1)
-    plans, lookups = [], []
+    plans, lookups, first_exits = [], [], []
     fit_plan, cell_index = regression.fit_plan, HypercubePartition.cell_index
 
     def counting_plan(*args, **kwargs):
@@ -223,8 +246,9 @@ def test_one_plan_per_population_and_one_lookup_per_step(monkeypatch):
         sol = solve(reference_coeffs(g=g_linear), g, Domain.box([lo], [hi]), nb, [100.0],
                     build_partition([lo], [hi], 1.0),
                     SolverConfig(mode="bdsde-random-terminal", picard_iterations=3))
-        assert (len(plans), len(lookups)) == (2 * 20 + 1, 20 + 1)
-    assert sol.paths.exit_detected.any()
+        first_exits.append(int(sol.paths.exit_index.min()))
+        assert (len(plans), len(lookups)) == (2 * 20 + 1 - first_exits[-1], 20 + 1)
+    assert first_exits[0] == 20 and 0 < first_exits[1] < 20
 
 
 @pytest.mark.parametrize("bounds", [(60.0, 200.0), (90.0, 110.0)])
@@ -309,7 +333,7 @@ def reference_backward(coeffs, grid, paths, noise, partition, mode, I):
         g_z = g_term(n, live, z_next)
         targets = np.zeros((M, k, d))
         targets[live] = ((y_next[live] + g_z[live])[:, :, None]
-                         * noise.forward[:, n][live, None, :] / grid.h)
+                         * noise.forward[n][live, None, :] / grid.h)
         z_fn = project(partition, x_n, targets, mask=live)
         if live.any():
             z_values[n][live] = z_fn.evaluate(x_n[live])
