@@ -346,12 +346,9 @@ def _run_set(
             sol = _solve_seed(config, problem, seed)
         snap: List[float] = []
         for n in time_indices:
-            if n == 0:
-                snap.append(float(sol.Y0[0]))
-            else:
-                vals = sol.y_values[n][:, 0]
-                live = sol.paths.live_mask(n)
-                snap.append(float(vals[live].mean() if live.any() else vals.mean()))
+            live = sol.paths.live_mask(n)
+            vals = sol.Y0[:1] if n == 0 else sol.y_at(n)[live if live.any() else slice(None), 0]
+            snap.append(float(vals.mean()))
         return snap
 
     runs = _map_on_cpus(one, seeds, workers=threads)

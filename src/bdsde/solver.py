@@ -13,12 +13,14 @@ the time-n states; z is explicit while the implicit y equation is run
 through a short Picard loop started at zero.  Paths that exited carry
 their frozen terminal value through the y-regression population but are
 excluded from the z- and driver-regressions, and their realized z is
-zero.
+zero.  The pass keeps only the realized y_{n+1} and z_n; the solution
+holds the fitted functions and terminal values they are read back from.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,16 +90,49 @@ class SolverDiagnostics:
 
 @dataclasses.dataclass(frozen=True)
 class BackwardSolution:
-    """Fitted cell functions, realized per-path values, and t=0 readout."""
+    """Fitted cell functions y_n(.), z_n(.) over the stopped paths, the
+    terminal values and the t=0 readout.  ``y_at(n)`` and ``z_at(n)`` read
+    the realized values at t_n back from them on every call: the fitted
+    function at paths live after t_n, the frozen terminal value and a zero
+    z at exited ones.  ``y_values`` and ``z_values`` stack them over every
+    step on first access, read-only, and keep that (N+1)·M history."""
 
     paths: PathSet
     y_funcs: tuple               # length N+1
     z_funcs: tuple               # length N
-    y_values: Array              # (N+1, M, k)
-    z_values: Array              # (N+1, M, k, d); index N is identically zero
+    terminal: Array              # (M, k), read-only
     Y0: Array                    # (k,)
     Z0: Array                    # (k, d)
     diagnostics: SolverDiagnostics
+
+    def y_at(self, n: int) -> Array:
+        """Realized y at t_n, (M, k)."""
+        n = _whole("step index n", n, 0, self.paths.grid.N + 1)
+        live = self.paths.live_mask(n)[:, None]
+        return np.where(live, self.y_funcs[n].evaluate(self.paths.states[n]), self.terminal)
+
+    def z_at(self, n: int) -> Array:
+        """Realized z at t_n, (M, k, d); zero at t_N, where no path is live."""
+        n = _whole("step index n", n, 0, self.paths.grid.N + 1)
+        x = self.paths.states[n]
+        if n == self.paths.grid.N:
+            return np.zeros(self.terminal.shape + x.shape[1:])
+        return np.where(self.paths.live_mask(n)[:, None, None], self.z_funcs[n].evaluate(x), 0.0)
+
+    @functools.cached_property
+    def y_values(self) -> Array:
+        """(N+1, M, k) history of ``y_at``."""
+        return _frozen(np.stack([self.y_at(n) for n in range(self.paths.grid.N + 1)]))
+
+    @functools.cached_property
+    def z_values(self) -> Array:
+        """(N+1, M, k, d) history of ``z_at``; index N is identically zero."""
+        return _frozen(np.stack([self.z_at(n) for n in range(self.paths.grid.N + 1)]))
+
+
+def _frozen(a: Array) -> Array:
+    a.setflags(write=False)
+    return a
 
 
 # ------------------------------ scheme pieces ------------------------------ #
@@ -217,16 +252,16 @@ def backward_induction(
         if not np.isfinite(term).all():
             raise InvalidParameterError("terminal override contains non-finite entries")
 
-    y_values = np.empty((N + 1, M, k))
-    z_values = np.zeros((N + 1, M, k, d))
-    y_values[N] = term
+    # a copy of its own, so freezing it never touches the caller's array
+    term = _frozen(term.copy())
     y_funcs: list = [None] * (N + 1)
     z_funcs: list = [None] * N
     residuals = np.zeros((N, I))
     y_funcs[N] = project(partition, paths.states[N], term)
 
-    # cell ids of the time-n states, computed once per step; the ids of
-    # step n+1 are kept one step longer to read z_{n+1} at X_{n+1}
+    # kept: y_{n+1}, z_n, and the cell ids of the time-n states, computed
+    # once per step and kept one step longer to read z_{n+1} at X_{n+1}
+    y_next = term
     cells_next: Optional[Array] = None
     first_exit = int(paths.exit_index.min())
     for n in range(N - 1, -1, -1):
@@ -238,43 +273,39 @@ def backward_induction(
         try:
             # base = y_{n+1} + g(t_{n+1}, X_{n+1}, y_{n+1}, z_{n+1}(X_{n+1})) dW_n
             # on live paths, shared by the z- and the y-regression
-            base = y_values[n + 1].copy()
+            base = y_next.copy()
             if run_coeffs.g is not None:
                 rows = None if live is None else np.flatnonzero(live)
-                x_next, y_next = _live(rows, paths.states[n + 1], y_values[n + 1])
+                x_next, y_live = _live(rows, paths.states[n + 1], y_next)
                 z_next = (np.zeros((x_next.shape[0], k, d)) if n == N - 1
                           else gather(z_funcs[n + 1].coefficients, *_live(rows, cells_next)))
-                gv = run_coeffs.eval_g(float(grid.times[n + 1]), x_next, y_next, z_next)
+                gv = run_coeffs.eval_g(float(grid.times[n + 1]), x_next, y_live, z_next)
                 g_dW = _g_times(gv, noise.backward[n])
                 if rows is None:
                     base += g_dW
                 else:
                     base[rows] += g_dW
             z_plan = plan if live is None else fit_plan(partition, cells, live)
-            z_funcs[n], z_values[n] = z_step(paths, z_plan, cells, base, noise.forward[n])
-            y_funcs[n], y_values[n], residuals[n] = y_step(
-                n, paths, plan, live, cells, base, z_values[n], run_coeffs, I)
+            z_funcs[n], z_n = z_step(paths, z_plan, cells, base, noise.forward[n])
+            y_funcs[n], y_next, residuals[n] = y_step(
+                n, paths, plan, live, cells, base, z_n, run_coeffs, I)
         except BdsdeError as err:
             raise type(err)(f"backward step n={n}: {err}") from err
         cells_next = cells
 
-    Y0, Z0 = y_values[0, 0].copy(), z_values[0, 0].copy()
-
     # empty_cells_y, empty_cells_z, out_of_range_y, out_of_range_z
-    per_step = [np.array([getattr(fn, attr) for fn in funcs])
+    per_step = [_frozen(np.array([getattr(fn, attr) for fn in funcs]))
                 for attr in ("empty_cells", "out_of_range_samples")
                 for funcs in (y_funcs, z_funcs)]
-    for a in (y_values, z_values, residuals, *per_step):
-        a.setflags(write=False)
     diagnostics = SolverDiagnostics(
-        *per_step, picard_residuals=residuals,
+        *per_step, picard_residuals=_frozen(residuals),
         exit_fraction=float(paths.exit_detected.mean()),
     )
     return BackwardSolution(
         paths=paths,
-        y_funcs=tuple(y_funcs), z_funcs=tuple(z_funcs),
-        y_values=y_values, z_values=z_values,
-        Y0=Y0, Z0=Z0, diagnostics=diagnostics,
+        y_funcs=tuple(y_funcs), z_funcs=tuple(z_funcs), terminal=term,
+        Y0=y_next[0].copy(), Z0=z_n[0].copy() if N else np.zeros((k, d)),
+        diagnostics=diagnostics,
     )
 
 
@@ -317,15 +348,14 @@ def strong_error(
     """
     paths = solution.paths
     grid = paths.grid
-    worst_y = 0.0
-    z_sum = 0.0
+    worst_y = z_sum = 0.0
     for n in range(grid.N):
         live = paths.live_mask(n)
         if not live.any():
             continue
         x = paths.states[n, live]
         t = float(grid.times[n])
-        y, z = solution.y_values[n][live], solution.z_values[n][live]
+        y, z = solution.y_at(n)[live], solution.z_at(n)[live]
         dy = _shaped("reference_y(t, x)", reference_y(t, x), y.shape) - y
         worst_y = max(worst_y, float(np.mean(np.sum(dy * dy, axis=-1))))
         dz = _shaped("reference_z(t, x)", reference_z(t, x), z.shape) - z

@@ -1,6 +1,7 @@
 """Backward recursion: terminal handling, z/y steps, modes, error metric."""
 
 import dataclasses
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -359,8 +360,9 @@ def reference_backward(coeffs, grid, paths, noise, partition, mode, I):
         empty_y.append(y_fn.empty_cells)
         empty_z.append(z_fn.empty_cells)
         z_next = z_fn
-    x0 = states[:1, 0]
-    return dict(Y0=y_fn.evaluate(x0)[0], Z0=z_fn.evaluate(x0)[0],
+    # the t=0 readout is path 0's realized value: phi at a start in the
+    # shift collar or on a grid without steps, z = 0 there
+    return dict(Y0=y_values[0, 0], Z0=z_values[0, 0],
                 y_values=y_values, z_values=z_values, residuals=residuals,
                 empty_y=np.array(empty_y[::-1]), empty_z=np.array(empty_z[::-1]))
 
@@ -388,35 +390,61 @@ def assert_matches_reference(coeffs, grid, domain, noise, x0, partition, mode, I
     assert np.array_equal(sol.Z0, ref["Z0"])
     assert np.array_equal(sol.y_values, ref["y_values"])
     assert np.array_equal(sol.z_values, ref["z_values"])
+    for n in range(grid.N + 1):
+        assert sol.y_at(n).tobytes() == ref["y_values"][n].tobytes()
+        assert sol.z_at(n).tobytes() == ref["z_values"][n].tobytes()
+    for bad in (-1, grid.N + 1, 0.5):  # a negative n would wrap around the steps
+        for reader in (sol.y_at, sol.z_at):
+            with pytest.raises(InvalidParameterError, match="step index"):
+                reader(bad)
     assert np.array_equal(sol.diagnostics.picard_residuals, ref["residuals"])
     assert np.array_equal(sol.diagnostics.empty_cells_y, ref["empty_y"])
     assert np.array_equal(sol.diagnostics.empty_cells_z, ref["empty_z"])
-    return paths
+    return sol
 
 
 @pytest.mark.parametrize("I", [0, 3])
-@pytest.mark.parametrize("bounds", [(60.0, 200.0), (90.0, 110.0)])
+@pytest.mark.parametrize("bounds", [
+    # domain, basis, steps
+    ((60.0, 200.0), (60.0, 200.0), 20),  # every path live
+    ((90.0, 110.0), (90.0, 110.0), 20),  # exits
+    ((99.0, 200.0), (99.0, 200.0), 20),  # a start in the shift collar
+    ((90.0, 110.0), (95.0, 105.0), 20),  # live samples outside the basis
+    ((90.0, 110.0), (90.0, 110.0), 0),   # the tail grid {T} of spde_point
+])
 @pytest.mark.parametrize("mode", MODES)
 def test_single_pass_matches_per_step_reference_bitwise(mode, bounds, I):
+    (lo, hi), basis, steps = bounds
     g = build_grid(0.25, 20)
+    g = dataclasses.replace(g, times=g.times[20 - steps:])
     nb = sample_noise(2024, 4096, g, 1, 1)
-    lo, hi = bounds
-    paths = assert_matches_reference(
-        reference_coeffs(g=g_linear), g, Domain.box([lo], [hi]), nb, [100.0],
-        build_partition([lo], [hi], 1.0), mode, I)
-    if mode == "bdsde-random-terminal" and lo == 90.0:
+    part = build_partition(*basis, 1.0)
+    sol = assert_matches_reference(reference_coeffs(g=g_linear), g, Domain.box([lo], [hi]),
+                                   nb, [100.0], part, mode, I)
+    paths = sol.paths
+    stopping = mode == "bdsde-random-terminal"
+    if stopping and lo == 90.0 and steps:
         assert paths.exit_detected.mean() > 0.3
+    if stopping and lo == 99.0:  # every path stops at t_0 with y = phi, z = 0
+        assert (paths.exit_index == 0).all()
+        assert sol.Y0[0] == STRIKE - 100.0 and sol.Z0[0, 0] == 0.0
+    if basis == (95.0, 105.0):  # z reads 0 at live samples outside the basis
+        out = [paths.live_mask(n) & (part.cell_index(paths.states[n]) < 0) for n in range(20)]
+        assert sum(o.sum() for o in out) > 0
+        assert all((sol.z_at(n)[o] == 0.0).all() for n, o in enumerate(out))
+    if not steps:
+        assert sol.Y0[0] == STRIKE - 100.0 and sol.Z0[0, 0] == 0.0
 
 
 def test_single_pass_matches_reference_with_matrix_targets():
     g = build_grid(0.25, 10)
     nb = sample_noise(77, 2048, g, 2, 2)
     dom = Domain.box([90.0, 90.0], [110.0, 110.0])
-    paths = assert_matches_reference(
+    sol = assert_matches_reference(
         two_asset_coeffs(), g, dom, nb, [100.0, 100.0],
         build_partition([90.0, 90.0], [110.0, 110.0], 2.0),
         "bdsde-random-terminal", 3)
-    assert paths.exit_detected.any()
+    assert sol.paths.exit_detected.any()
 
 
 def test_out_of_range_counts_reported_per_step():
@@ -534,6 +562,35 @@ def test_reference_value_single_run_band():
     assert abs(sol.Z0[0, 0] - (-20.0)) < 5.0
 
 
+def test_backward_pass_memory_does_not_scale_with_the_step_count():
+    # the pass keeps only y_{n+1} and z_n, and the solution the fitted
+    # functions (140 cells a step), so 40 steps instead of 10 add no
+    # (N+1)·M history, which at M = 4096 is 64 KB a step, 1.97 MB for the
+    # 30 extra steps.  Measured growth of the peak and of what the solution
+    # retains: 0.05-0.10 MB over seeds and domains (1.97 MB for both while
+    # the histories were stored); the bound, 1/8 of the history, leaves a
+    # margin of 2.5x over the largest
+    traced = []
+    for N in (10, 40):
+        g = build_grid(0.25, N)
+        nb = sample_noise(1, 4096, g, 1, 1)
+        c = reference_coeffs(g=g_linear)
+        paths = simulate_stopped(c, g, Domain.box([60.0], [200.0]), nb, [100.0])
+        part = build_partition([60.0], [200.0], 1.0)
+        tracemalloc.start()
+        try:
+            sol = backward_induction(c, g, paths, nb, part,
+                                     SolverConfig(mode="bdsde-random-terminal"))
+            traced.append(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(sol.y_funcs) == N + 1
+    (kept10, peak10), (kept40, peak40) = traced
+    history = 30 * 4096 * (1 + 1) * 8
+    assert peak40 - peak10 <= history / 8
+    assert kept40 - kept10 <= history / 8
+
+
 def test_terminal_override():
     g = build_grid(0.25, 4)
     nb = sample_noise(3, 32, g, 1, 1)
@@ -544,6 +601,11 @@ def test_terminal_override():
     sol = backward_induction(c, g, ps, nb, part, SolverConfig(mode="bsde"),
                              terminal=override)
     assert (sol.y_values[4] == -2.5).all()
+    # the solution keeps a read-only copy; the caller's array stays as it was
+    assert not sol.terminal.flags.writeable and not np.shares_memory(sol.terminal, override)
+    assert override.flags.writeable and (override == -2.5).all()
+    override[0, 0] = 1.0
+    assert sol.terminal[0, 0] == -2.5 and sol.y_at(4)[0, 0] == -2.5
     with pytest.raises(InvalidParameterError):
         backward_induction(c, g, ps, nb, part, SolverConfig(mode="bsde"),
                            terminal=np.zeros((5, 1)))
