@@ -14,11 +14,15 @@ systematic late detection of discrete-time exit tests: between grid points
 the continuous path can cross the boundary and return unseen, so the raw
 test overestimates the exit time by O(sqrt(h)).  Testing against the
 shrunken domain restores first-order accuracy of exit-time functionals.
+
+A PathSet keeps each step's output for the paths that took it and the exit
+states; ``at(n)`` rebuilds t_n, and the ``states`` grid is built on first access.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -29,7 +33,9 @@ from .model import (
     InvalidStartError,
     NoiseBundle,
     TimeGrid,
+    _frozen,
     _shaped,
+    _whole,
 )
 
 Array = np.ndarray
@@ -50,30 +56,28 @@ C0 = 0.5826
 
 # ------------------------------ path container ----------------------------- #
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class PathSet:
-    """Stopped Euler paths with per-path exit bookkeeping.
+    """Stopped Euler paths, recorded as they ran, with per-path exit bookkeeping.
 
-    states is time-major, (N+1, M, d), so the states at t_i are the
-    contiguous block states[i].  Paths are frozen after exit:
-    states[i, m] == states[exit_index[m], m] for every i >= exit_index[m].
+    steps[i] is step i's Euler output for the paths with exit_index > i,
+    in path order, and exit_state each path's state at its exit index.
     exit_index lies in {0..N}: 0 means the start lay in the shift collar,
     and N doubles as the no-exit sentinel, so exit_detected distinguishes a
-    genuine last-step exit from plain survival to maturity.
+    genuine last-step exit from plain survival to maturity.  Every array is
+    read-only; ``states`` stacks ``at`` over t_0..t_N on first access only.
     """
 
     grid: TimeGrid
-    states: Array          # (N+1, M, d)
+    start: Array           # (d,)
+    steps: tuple           # length N, steps[i] of shape (#{exit_index > i}, d)
     exit_index: Array      # (M,) int64
     exit_detected: Array   # (M,) bool
+    exit_state: Array      # (M, d)
 
     @property
     def M(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def exit_state(self) -> Array:
-        return self.states[self.exit_index, np.arange(self.M)]
+        return self.exit_index.shape[0]
 
     @property
     def exit_time(self) -> Array:
@@ -82,6 +86,24 @@ class PathSet:
     def live_mask(self, i: int) -> Array:
         """Boolean mask of paths still inside the domain strictly after t_i."""
         return self.exit_index > i
+
+    def at(self, n: int) -> Array:
+        """The states at t_n, (M, d), read-only: steps[n-1] itself when
+        every path took step n-1, else the exit states with steps[n-1]
+        scattered over the paths that took it (exit_index >= n)."""
+        n = _whole("step index n", n, 0, self.grid.N + 1)
+        if n == 0:
+            return _frozen(np.tile(self.start, (self.M, 1)))
+        if self.steps[n - 1].shape[0] == self.M:
+            return self.steps[n - 1]
+        row = self.exit_state.copy()
+        row[np.flatnonzero(self.exit_index >= n)] = self.steps[n - 1]  # 3x faster than a mask
+        return _frozen(row)
+
+    @functools.cached_property
+    def states(self) -> Array:
+        """(N+1, M, d) stack of ``at``, read-only, built on first access."""
+        return _frozen(np.stack([self.at(n) for n in range(self.grid.N + 1)]))
 
 
 # ------------------------------ elementary ops ----------------------------- #
@@ -151,10 +173,10 @@ def simulate_stopped(
     collar stops every path at t_0; a start outside the open domain, or a
     non-finite one, raises InvalidStartError.  The whole space (the box with
     infinite bounds) is never left, so neither test nor shift is computed
-    there.  While every path runs, a step reads the block noise.forward[i]
-    and writes states[i+1] whole; after the first exit the running paths are
-    carried compactly with their indices, and a step copies the block
-    states[i] to states[i+1] and scatters the running paths over it.
+    there.  While every path runs, a step reads noise.forward[i] whole, and
+    after the first exit the running paths are carried compactly with their
+    indices.  steps[i] keeps each step's output and a step with exits writes
+    its exiting rows of exit_state; PathSet.states is stacked on first access.
     """
     if not noise.d == domain.d == coeffs.d:
         raise InvalidParameterError(
@@ -163,7 +185,7 @@ def simulate_stopped(
         )
     if noise.grid is not grid and not np.array_equal(noise.grid.times, grid.times):
         raise InvalidParameterError("noise was sampled on a different time grid")
-    x0 = _shaped("start point", np.reshape(x0, -1), (coeffs.d,))
+    x0 = _shaped("start point", np.reshape(x0, -1), (coeffs.d,)).copy()
     if not domain.contains(x0[None, :])[0]:
         raise InvalidStartError(f"start point {x0} lies outside the open domain")
     test_exits = not domain.is_whole_space
@@ -174,33 +196,33 @@ def simulate_stopped(
         dist, axis = domain.nearest_face(x)
         return dist > (shift_width(axis, x, coeffs, grid.h) if shift_enabled else 0.0)
 
-    M, N, d = noise.M, grid.N, coeffs.d
-    states = np.empty((N + 1, M, d))
-    states[0] = x0
+    M, N = noise.M, grid.N
     start_inside = not test_exits or shifted_test(x0[None, :])[0]
     exit_index = np.full(M, N if start_inside else 0, dtype=np.int64)
+    exit_state = np.tile(x0, (M, 1))                # a path that never steps stays at x0
     live = None if start_inside else np.arange(0)   # None while every path runs
-    x = states[0, :M if start_inside else 0]        # the running paths' states
+    x = exit_state[:M if start_inside else 0]       # the running paths' states
+    steps = []
 
     for i in range(N):
-        if live is None:
-            x = euler_step(coeffs, x, grid.h, noise.forward[i])
-            states[i + 1] = x
-        else:
-            x = euler_step(coeffs, x, grid.h, noise.forward[i].take(live, axis=0))
-            states[i + 1] = states[i]
-            states[i + 1, live] = x
+        dB = noise.forward[i] if live is None else noise.forward[i].take(live, axis=0)
+        x = _frozen(euler_step(coeffs, x, grid.h, dB))
+        steps.append(x)
         if test_exits:
             inside = shifted_test(x)
             if not inside.all():
                 rows = np.arange(M) if live is None else live
-                exit_index[rows[~inside]] = i + 1
+                out = np.flatnonzero(~inside)
+                exit_index[rows[out]] = i + 1
+                exit_state[rows[out]] = x.take(out, axis=0)
                 keep = np.flatnonzero(inside)
                 live, x = rows.take(keep), x.take(keep, axis=0)
-    exit_detected = np.ones(M, dtype=bool)
-    exit_detected[slice(None) if live is None else live] = False
+    exit_detected = np.full(M, live is not None)
+    if live is None:  # no path stopped before t_N: its last states are the exit states
+        exit_state = x
+    else:
+        exit_state[live], exit_detected[live] = x, False
 
-    for a in (states, exit_index, exit_detected):
-        a.setflags(write=False)
-    return PathSet(grid=grid, states=states, exit_index=exit_index,
-                   exit_detected=exit_detected)
+    return PathSet(grid=grid, start=_frozen(x0), steps=tuple(steps),
+                   exit_index=_frozen(exit_index), exit_detected=_frozen(exit_detected),
+                   exit_state=_frozen(exit_state))

@@ -76,6 +76,12 @@ def _whole(name: str, value, lo: int, hi: float = np.inf) -> int:
     return whole
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
 def _shaped(name: str, value, shape: tuple) -> np.ndarray:
     """``value`` as a float64 array (float64 input is not copied) if it has
     ``shape``, else an error; an int entry must match, a named entry such as
@@ -125,8 +131,7 @@ def build_grid(T: float, N: int) -> TimeGrid:
     if not np.isfinite(T) or T <= 0:
         raise InvalidParameterError(f"horizon T must be positive, got {T!r}")
     N = _whole("step count N", N, 1)
-    times = (np.arange(N + 1, dtype=np.float64) * float(T)) / N
-    times.setflags(write=False)
+    times = _frozen((np.arange(N + 1, dtype=np.float64) * float(T)) / N)
     return TimeGrid(h=float(T) / N, times=times)
 
 
@@ -144,11 +149,7 @@ class Domain:
     @staticmethod
     def whole_space(d: int) -> "Domain":
         d = _whole("dimension d", d, 1)
-        lo = np.full(d, -np.inf)
-        hi = np.full(d, np.inf)
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        return Domain(lower=lo, upper=hi)
+        return Domain(lower=_frozen(np.full(d, -np.inf)), upper=_frozen(np.full(d, np.inf)))
 
     @staticmethod
     def box(lower, upper) -> "Domain":
@@ -158,9 +159,7 @@ class Domain:
             raise InvalidParameterError("box bounds must be finite")
         if not (lo.size and np.all(lo < hi)):
             raise InvalidParameterError(f"need lower < upper componentwise, got {lo} vs {hi}")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        return Domain(lower=lo, upper=hi)
+        return Domain(lower=_frozen(lo), upper=_frozen(hi))
 
     @property
     def d(self) -> int:
@@ -309,7 +308,7 @@ def _map_on_cpus(fn: Callable, items: Sequence, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseBundle:
     """Brownian increments for one run: forward (N, M, d), time-major so the
     increments of step i are the contiguous block forward[i], and backward
@@ -368,8 +367,7 @@ def sample_noise(seed: int, M: int, grid: TimeGrid, d: int, l: int) -> NoiseBund
         # of one array, each chunk on its own Philox counter
         shares = [starts[w::workers] for w in range(min(workers, len(starts)))]
         _map_on_cpus(fill, shares, workers=len(shares))
-        out.setflags(write=False)
-        return out
+        return _frozen(out)
 
     return NoiseBundle(seed=seed, grid=grid, M=M, d=d, l=l,
                        forward=draw(_FORWARD_STREAM, M, d),

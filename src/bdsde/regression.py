@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import EvaluationError, InvalidParameterError, _shaped
+from .model import EvaluationError, InvalidParameterError, _frozen, _shaped
 
 Array = np.ndarray
 
@@ -33,7 +33,7 @@ __all__ = [
 
 # ------------------------------- partition --------------------------------- #
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class HypercubePartition:
     """Axis-aligned grid of half-open cells covering [d1, d2).
 
@@ -90,16 +90,13 @@ def build_partition(d1, d2, delta: float) -> HypercubePartition:
         total = np.prod(L)
     if not total <= 2.0 ** 53:  # an infinite bound too, before the int cast
         raise InvalidParameterError(f"{total:g} cells: flat cell ids are exact up to 2**53")
-    L = L.astype(np.int64)
-    for a in (d1, d2, L):
-        a.setflags(write=False)
-    return HypercubePartition(d1=d1, d2=d2, delta=float(delta), L_per_dim=L,
-                              total_cells=int(total))
+    return HypercubePartition(d1=_frozen(d1), d2=_frozen(d2), delta=float(delta),
+                              L_per_dim=_frozen(L.astype(np.int64)), total_cells=int(total))
 
 
 # ------------------------------ cell function ------------------------------ #
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class CellFunction:
     """Piecewise-constant function with one coefficient vector per cell.
 
@@ -148,7 +145,7 @@ def _check_finite(flat: Array, mask: Optional[Array]) -> None:
         raise EvaluationError(f"non-finite regression target at sample {m}")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class FitPlan:
     """One fit population's cell bookkeeping, shared by every fit over it.
     ``bins`` is 1 + each sample's cell id, or 0 for a sample that is masked

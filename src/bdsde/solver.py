@@ -33,6 +33,7 @@ from .model import (
     InvalidParameterError,
     NoiseBundle,
     TimeGrid,
+    _frozen,
     _shaped,
     _whole,
 )
@@ -78,7 +79,7 @@ class SolverConfig:
                            _whole("picard_iterations", self.picard_iterations, 0))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SolverDiagnostics:
     empty_cells_y: Array       # (N+1,) per-step empty-cell count of the y fit
     empty_cells_z: Array       # (N,)
@@ -88,7 +89,7 @@ class SolverDiagnostics:
     exit_fraction: float
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class BackwardSolution:
     """Fitted cell functions y_n(.), z_n(.) over the stopped paths, the
     terminal values and the t=0 readout.  ``y_at(n)`` and ``z_at(n)`` read
@@ -109,12 +110,12 @@ class BackwardSolution:
         """Realized y at t_n, (M, k)."""
         n = _whole("step index n", n, 0, self.paths.grid.N + 1)
         live = self.paths.live_mask(n)[:, None]
-        return np.where(live, self.y_funcs[n].evaluate(self.paths.states[n]), self.terminal)
+        return np.where(live, self.y_funcs[n].evaluate(self.paths.at(n)), self.terminal)
 
     def z_at(self, n: int) -> Array:
         """Realized z at t_n, (M, k, d); zero at t_N, where no path is live."""
         n = _whole("step index n", n, 0, self.paths.grid.N + 1)
-        x = self.paths.states[n]
+        x = self.paths.at(n)
         if n == self.paths.grid.N:
             return np.zeros(self.terminal.shape + x.shape[1:])
         return np.where(self.paths.live_mask(n)[:, None, None], self.z_funcs[n].evaluate(x), 0.0)
@@ -128,11 +129,6 @@ class BackwardSolution:
     def z_values(self) -> Array:
         """(N+1, M, k, d) history of ``z_at``; index N is identically zero."""
         return _frozen(np.stack([self.z_at(n) for n in range(self.paths.grid.N + 1)]))
-
-
-def _frozen(a: Array) -> Array:
-    a.setflags(write=False)
-    return a
 
 
 # ------------------------------ scheme pieces ------------------------------ #
@@ -160,25 +156,25 @@ def z_step(paths: PathSet, plan: FitPlan, cells: Array, base: Array,
     return z_fn, gather(z_fn.coefficients, ids)
 
 
-def y_step(n: int, paths: PathSet, plan: FitPlan, live: Optional[Array], cells: Array,
-           base: Array, z_n: Array, coeffs: CoefficientSet, picard_iterations: int) -> tuple:
+def y_step(n: int, paths: PathSet, plan: FitPlan, rows: Optional[Array], x_n: Array,
+           cells: Array, base: Array, z_n: Array, coeffs: CoefficientSet,
+           picard_iterations: int) -> tuple:
     """Implicit regression for y at step n via Picard iteration from zero.
 
     Every path contributes to the fit population, whose ``plan`` serves
     every sweep: live paths carry the full target base + h f with
     base = y_{n+1} + g dW_n, exited paths carry their frozen value so the
     conditional-mean term survives for their cells.  The iterates live as
-    coefficient arrays and are read back at the live paths' cell ids
-    (``live`` is ``paths.live_mask(n)``, None while every path is live).
-    With zero iterations the projection of base is returned and f never
-    enters.  Returns (CellFunction, realized values, residuals).
+    coefficient arrays and are read back at the live paths, ``rows`` of the
+    states ``x_n`` = ``paths.at(n)`` (None while every path is live).  With
+    zero iterations the projection of base is returned and f never enters.
+    Returns (CellFunction, realized values, residuals).
     """
     residuals = np.zeros(picard_iterations)
     if picard_iterations == 0:
         y_fn = plan.fit(base)
     else:
-        rows = None if live is None else np.flatnonzero(live)
-        x_live, z_live, cells_live, base_live = _live(rows, paths.states[n], z_n, cells, base)
+        x_live, z_live, cells_live, base_live = _live(rows, x_n, z_n, cells, base)
         t_n = float(paths.grid.times[n])
         coef = np.zeros((plan.partition.total_cells, coeffs.k))
         target = None if rows is None else base.copy()
@@ -190,16 +186,17 @@ def y_step(n: int, paths: PathSet, plan: FitPlan, live: Optional[Array], cells: 
             y_fn = plan.fit(hf if rows is None else target)
             residuals[it] = float(np.max(np.abs(y_fn.coefficients - coef)))
             coef = y_fn.coefficients
-    realized = gather(y_fn.coefficients, cells)
-    if live is not None:
-        realized = np.where(live[:, None], realized, base)
+    if rows is None:
+        return y_fn, gather(y_fn.coefficients, cells), residuals
+    realized = base.copy()  # the exited paths keep their frozen value
+    realized[rows] = gather(y_fn.coefficients, cells.take(rows))
     return y_fn, realized, residuals
 
 
 def _live(rows: Optional[Array], *arrays: Array) -> tuple:
     """The live rows of each array: the arrays themselves while every path
     is live (``rows`` None), else their rows at the indices ``rows``."""
-    return arrays if rows is None else tuple(a[rows] for a in arrays)
+    return arrays if rows is None else tuple(a.take(rows, axis=0) for a in arrays)
 
 
 def _g_times(gv: Array, dW_n: Array) -> Array:
@@ -257,7 +254,7 @@ def backward_induction(
     y_funcs: list = [None] * (N + 1)
     z_funcs: list = [None] * N
     residuals = np.zeros((N, I))
-    y_funcs[N] = project(partition, paths.states[N], term)
+    y_funcs[N] = project(partition, paths.exit_state, term)
 
     # kept: y_{n+1}, z_n, and the cell ids of the time-n states, computed
     # once per step and kept one step longer to read z_{n+1} at X_{n+1}
@@ -268,15 +265,17 @@ def backward_induction(
         # before the first exit every path is live: no mask, whole arrays
         # instead of gathers, and one plan for the z- and the y-fit
         live = None if n < first_exit else paths.live_mask(n)
-        cells = partition.cell_index(paths.states[n])
+        rows = None if live is None else np.flatnonzero(live)
+        x_n = paths.at(n)
+        cells = partition.cell_index(x_n)
         plan = fit_plan(partition, cells)
         try:
             # base = y_{n+1} + g(t_{n+1}, X_{n+1}, y_{n+1}, z_{n+1}(X_{n+1})) dW_n
-            # on live paths, shared by the z- and the y-regression
+            # on live paths, shared by the z- and the y-regression; steps[n]
+            # holds X_{n+1} of exactly the live paths
             base = y_next.copy()
             if run_coeffs.g is not None:
-                rows = None if live is None else np.flatnonzero(live)
-                x_next, y_live = _live(rows, paths.states[n + 1], y_next)
+                x_next, y_live = paths.steps[n], _live(rows, y_next)[0]
                 z_next = (np.zeros((x_next.shape[0], k, d)) if n == N - 1
                           else gather(z_funcs[n + 1].coefficients, *_live(rows, cells_next)))
                 gv = run_coeffs.eval_g(float(grid.times[n + 1]), x_next, y_live, z_next)
@@ -288,7 +287,7 @@ def backward_induction(
             z_plan = plan if live is None else fit_plan(partition, cells, live)
             z_funcs[n], z_n = z_step(paths, z_plan, cells, base, noise.forward[n])
             y_funcs[n], y_next, residuals[n] = y_step(
-                n, paths, plan, live, cells, base, z_n, run_coeffs, I)
+                n, paths, plan, rows, x_n, cells, base, z_n, run_coeffs, I)
         except BdsdeError as err:
             raise type(err)(f"backward step n={n}: {err}") from err
         cells_next = cells
@@ -353,7 +352,7 @@ def strong_error(
         live = paths.live_mask(n)
         if not live.any():
             continue
-        x = paths.states[n, live]
+        x = paths.at(n)[live]
         t = float(grid.times[n])
         y, z = solution.y_at(n)[live], solution.z_at(n)[live]
         dy = _shaped("reference_y(t, x)", reference_y(t, x), y.shape) - y

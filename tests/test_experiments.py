@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from bdsde import experiments, model
+from bdsde import experiments, model, solver
 from bdsde import (
     MODES,
     CoefficientSet,
@@ -29,6 +29,7 @@ from bdsde import (
     run_table,
     sample_noise,
     solve,
+    spde_point,
 )
 
 
@@ -312,6 +313,27 @@ def test_override_of_dimension_d_gets_a_d_cube():
         x = paths.states[n, paths.live_mask(n)]
         assert ((x > 90.0) & (x < 110.0)).all()
     assert paths.exit_detected.mean() > 0.5
+
+
+def test_no_solve_builds_the_state_grid(monkeypatch):
+    # a solve reads the path record through at(n), steps and exit_state, so
+    # PathSet.states, the (N+1)·M·d stack, is built only when a caller asks
+    made = []
+    simulate = solver.simulate_stopped
+    monkeypatch.setattr(solver, "simulate_stopped",
+                        lambda *args, **kw: made.append(simulate(*args, **kw)) or made[-1])
+    cfg = ExperimentConfig(**base_kwargs(domain_lower=90.0, domain_upper=110.0, delta=1.0))
+    problem = build_problem(cfg)
+    coeffs, grid, domain, partition, scfg = problem
+    assert experiments._solve_seed(cfg, problem, cfg.seed).paths.exit_detected.any()
+    experiments._run_set(cfg, 1, problem, [0, 3])
+    wpath = sample_noise(1, 1, grid, 1, 1).backward
+    # 90.01 lies in the shift collar; at t_N every restart has no step left
+    for t_n in (0.0, grid.times[-1]):
+        spde_point(coeffs, grid, domain, wpath, t_n, [[90.01], [100.0]], 256,
+                   partition, scfg, 5)
+    assert len(made) == 1 + cfg.R_runs + 2 * 2
+    assert not any("states" in vars(paths) for paths in made)
 
 
 # --------------------------- repetition statistics ------------------------- #

@@ -139,6 +139,40 @@ def test_domain_and_grid_compare_by_identity():
         assert len({a, b, a}) == 2
 
 
+def _small_solve():
+    g = build_grid(0.25, 4)
+    c = CoefficientSet(d=2, k=1, l=1, b=lambda x: 0.05 * x,
+                       sigma=lambda x: 0.2 * x[..., :, None] * np.eye(2),
+                       f=lambda t, x, y, z: -0.01 * y, phi=lambda t, x: x[:, :1],
+                       g=lambda t, x, y, z: 0.1 * y[..., None])
+    return solve(c, g, Domain.box([90.0, 90.0], [110.0, 110.0]), sample_noise(3, 64, g, 2, 1),
+                 [100.0, 100.0], build_partition([90.0, 90.0], [110.0, 110.0], 5.0),
+                 SolverConfig(mode="bdsde-random-terminal"))
+
+
+_CELLS = np.array([0, 1, 1, -1])
+_ARRAY_HOLDERS = {
+    "BackwardSolution": _small_solve,
+    "SolverDiagnostics": lambda: _small_solve().diagnostics,
+    "PathSet": lambda: _small_solve().paths,
+    "NoiseBundle": lambda: sample_noise(3, 64, build_grid(0.25, 4), 2, 1),
+    "HypercubePartition": lambda: build_partition([0.0, 0.0], [1.0, 1.0], 0.5),
+    "FitPlan": lambda: bdsde.regression.fit_plan(build_partition([0.0], [1.0], 0.5), _CELLS),
+    "CellFunction": lambda: project(build_partition([0.0], [1.0], 0.5),
+                                    np.array([[0.2], [0.7], [0.8], [1.5]]), np.ones((4, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_HOLDERS))
+def test_array_holders_compare_by_identity(name):
+    # equal-valued instances compare unequal instead of comparing their
+    # arrays, which raises, and each one hashes
+    a, b = _ARRAY_HOLDERS[name](), _ARRAY_HOLDERS[name]()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_box_rejects_bad_bounds():
     with pytest.raises(InvalidParameterError):
         Domain.box([1.0], [1.0])

@@ -148,11 +148,10 @@ def test_terminal_values_reports_path_index():
 def _two_path_set(dB):
     """Two stationary paths in one cell with prescribed increments."""
     g = build_grid(1.0, 1)
-    states = np.full((2, 2, 1), 0.5)
-    states[1, :, 0] = 0.5  # dynamics irrelevant; regression uses states[0]
+    x = np.full((2, 1), 0.5)  # dynamics irrelevant; regression uses the states at t_0
     return g, PathSet(
-        grid=g, states=states,
-        exit_index=np.array([1, 1]), exit_detected=np.array([False, False]),
+        grid=g, start=np.array([0.5]), steps=(x,),
+        exit_index=np.array([1, 1]), exit_detected=np.array([False, False]), exit_state=x,
     )
 
 
@@ -182,8 +181,8 @@ def test_y_step_zero_iterations_skips_driver():
     y_next = np.array([[2.0], [6.0]])
     cells = part.cell_index(ps.states[0])
     live = ps.live_mask(0)
-    y_fn, realized, res = y_step(0, ps, fit_plan(part, cells), live, cells,
-                                 y_next, np.zeros((2, 1, 1)), c, 0)
+    y_fn, realized, res = y_step(0, ps, fit_plan(part, cells), np.flatnonzero(live),
+                                 ps.at(0), cells, y_next, np.zeros((2, 1, 1)), c, 0)
     assert y_fn.coefficients[0, 0] == pytest.approx(4.0)
     assert res.shape == (0,)
     assert realized[:, 0] == pytest.approx([4.0, 4.0])
