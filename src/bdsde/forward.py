@@ -15,20 +15,24 @@ the continuous path can cross the boundary and return unseen, so the raw
 test overestimates the exit time by O(sqrt(h)).  Testing against the
 shrunken domain restores first-order accuracy of exit-time functionals.
 
-A PathSet keeps each step's output for the paths that took it and the exit
-states; ``at(n)`` rebuilds t_n, and the ``states`` grid is built on first access.
+A PathSet keeps the exit states, and each step's output for the paths that
+took it only when asked to; otherwise the first read of that record runs
+the loop once more.  ``at(n)`` rebuilds t_n, and the ``states`` grid is
+built on first access.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+from typing import Callable, Optional
 
 import numpy as np
 
 from .model import (
     CoefficientSet,
     Domain,
+    EvaluationError,
     InvalidParameterError,
     InvalidStartError,
     NoiseBundle,
@@ -58,22 +62,24 @@ C0 = 0.5826
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PathSet:
-    """Stopped Euler paths, recorded as they ran, with per-path exit bookkeeping.
+    """Stopped Euler paths with per-path exit bookkeeping.
 
-    steps[i] is step i's Euler output for the paths with exit_index > i,
-    in path order, and exit_state each path's state at its exit index.
-    exit_index lies in {0..N}: 0 means the start lay in the shift collar,
-    and N doubles as the no-exit sentinel, so exit_detected distinguishes a
-    genuine last-step exit from plain survival to maturity.  Every array is
-    read-only; ``states`` stacks ``at`` over t_0..t_N on first access only.
+    exit_state is each path's state at its exit index, which lies in
+    {0..N}: 0 means the start lay in the shift collar, and N doubles as the
+    no-exit sentinel, so exit_detected distinguishes a genuine last-step
+    exit from plain survival to maturity.  ``steps``, the per-step record,
+    is kept only when asked for: ``rerun`` is None then, else the call that
+    runs the loop again to rebuild it, which keeps the noise bundle alive.
+    Every array is read-only; ``states`` stacks ``at`` over t_0..t_N on
+    first access.
     """
 
     grid: TimeGrid
     start: Array           # (d,)
-    steps: tuple           # length N, steps[i] of shape (#{exit_index > i}, d)
     exit_index: Array      # (M,) int64
     exit_detected: Array   # (M,) bool
     exit_state: Array      # (M, d)
+    rerun: Optional[Callable[[], "PathSet"]] = dataclasses.field(default=None, repr=False)
 
     @property
     def M(self) -> int:
@@ -86,6 +92,19 @@ class PathSet:
     def live_mask(self, i: int) -> Array:
         """Boolean mask of paths still inside the domain strictly after t_i."""
         return self.exit_index > i
+
+    @functools.cached_property
+    def steps(self) -> tuple:
+        """Length N: steps[i] is step i's Euler output for the paths with
+        exit_index > i, in path order.  Without a kept record the first read
+        runs the loop once more, and raises if that run stopped the paths
+        differently (a coefficient that is not a function of its input)."""
+        again = self.rerun()
+        if not all(np.array_equal(getattr(again, name), getattr(self, name))
+                   for name in ("exit_index", "exit_detected", "exit_state")):
+            raise EvaluationError("rebuilding the path record gave other exits: "
+                                  "the coefficients returned different values for the same states")
+        return again.steps
 
     def at(self, n: int) -> Array:
         """The states at t_n, (M, d), read-only: steps[n-1] itself when
@@ -163,6 +182,7 @@ def simulate_stopped(
     x0: Array,
     *,
     shift_enabled: bool = True,
+    keep_steps: bool = False,
 ) -> PathSet:
     """Evolve M Euler paths from x0 and stop each at its first discrete exit.
 
@@ -175,8 +195,10 @@ def simulate_stopped(
     infinite bounds) is never left, so neither test nor shift is computed
     there.  While every path runs, a step reads noise.forward[i] whole, and
     after the first exit the running paths are carried compactly with their
-    indices.  steps[i] keeps each step's output and a step with exits writes
-    its exiting rows of exit_state; PathSet.states is stacked on first access.
+    indices.  A step with exits writes its exiting rows of exit_state, and
+    with keep_steps each step's output is kept as PathSet.steps[i].  Without
+    it the PathSet keeps its inputs, the noise bundle too, and rebuilds the
+    record by running this loop once more on its first read.
     """
     if not noise.d == domain.d == coeffs.d:
         raise InvalidParameterError(
@@ -207,7 +229,8 @@ def simulate_stopped(
     for i in range(N):
         dB = noise.forward[i] if live is None else noise.forward[i].take(live, axis=0)
         x = _frozen(euler_step(coeffs, x, grid.h, dB))
-        steps.append(x)
+        if keep_steps:
+            steps.append(x)
         if test_exits:
             inside = shifted_test(x)
             if not inside.all():
@@ -223,6 +246,12 @@ def simulate_stopped(
     else:
         exit_state[live], exit_detected[live] = x, False
 
-    return PathSet(grid=grid, start=_frozen(x0), steps=tuple(steps),
-                   exit_index=_frozen(exit_index), exit_detected=_frozen(exit_detected),
-                   exit_state=_frozen(exit_state))
+    rerun = None if keep_steps else functools.partial(
+        simulate_stopped, coeffs, grid, domain, noise, x0,
+        shift_enabled=shift_enabled, keep_steps=True)
+    paths = PathSet(grid=grid, start=_frozen(x0), exit_index=_frozen(exit_index),
+                    exit_detected=_frozen(exit_detected), exit_state=_frozen(exit_state),
+                    rerun=rerun)
+    if keep_steps:
+        vars(paths)["steps"] = tuple(steps)  # the kept record fills the cache
+    return paths

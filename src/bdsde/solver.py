@@ -225,7 +225,9 @@ def backward_induction(
 
     ``terminal`` overrides the payoff-based terminal values with an
     arbitrary per-path vector; the equivalence transformation to an
-    ordinary backward equation relies on this hook.
+    ordinary backward equation relies on this hook.  The pass reads the
+    per-step record, so a PathSet simulated without keep_steps runs its
+    forward pass once more here; ``solve`` keeps the record instead.
     """
     if (noise.M, noise.l) != (paths.M, coeffs.l):
         raise InvalidParameterError(
@@ -328,7 +330,7 @@ def solve(
     """
     sim_domain = domain if config.mode == "bdsde-random-terminal" else Domain.whole_space(coeffs.d)
     paths = simulate_stopped(coeffs, grid, sim_domain, noise, x0,
-                             shift_enabled=shift_enabled)
+                             shift_enabled=shift_enabled, keep_steps=True)
     return backward_induction(coeffs, grid, paths, noise, partition, config)
 
 
@@ -343,7 +345,9 @@ def strong_error(
 
     max over time steps of the pre-exit sample mean of |y_ref - y_n|^2,
     plus the Riemann sum h * sum_n of the pre-exit mean of the squared
-    Frobenius gap in z.  Steps with no pre-exit path are skipped.
+    Frobenius gap in z.  Steps with no pre-exit path are skipped.  Each
+    row is read once and both fits are gathered at its live states, which
+    gives the bytes of ``y_at(n)`` and ``z_at(n)`` at those paths.
     """
     paths = solution.paths
     grid = paths.grid
@@ -354,7 +358,9 @@ def strong_error(
             continue
         x = paths.at(n)[live]
         t = float(grid.times[n])
-        y, z = solution.y_at(n)[live], solution.z_at(n)[live]
+        cells = solution.y_funcs[n].partition.cell_index(x)
+        y = gather(solution.y_funcs[n].coefficients, cells)
+        z = gather(solution.z_funcs[n].coefficients, cells)
         dy = _shaped("reference_y(t, x)", reference_y(t, x), y.shape) - y
         worst_y = max(worst_y, float(np.mean(np.sum(dy * dy, axis=-1))))
         dz = _shaped("reference_z(t, x)", reference_z(t, x), z.shape) - z

@@ -16,6 +16,7 @@ from bdsde import (
     MODES,
     CoefficientSet,
     ConfigError,
+    Domain,
     ExperimentConfig,
     InvalidParameterError,
     TABLE_M_GRID,
@@ -317,11 +318,15 @@ def test_override_of_dimension_d_gets_a_d_cube():
 
 def test_no_solve_builds_the_state_grid(monkeypatch):
     # a solve reads the path record through at(n), steps and exit_state, so
-    # PathSet.states, the (N+1)·M·d stack, is built only when a caller asks
-    made = []
-    simulate = solver.simulate_stopped
+    # PathSet.states, the (N+1)·M·d stack, is built only when a caller asks.
+    # Each solve keeps its record and runs one forward pass: one face scan
+    # for the start and one per step, N + 1 on its grid
+    made, scans = [], []
+    simulate, scan = solver.simulate_stopped, Domain.nearest_face
     monkeypatch.setattr(solver, "simulate_stopped",
                         lambda *args, **kw: made.append(simulate(*args, **kw)) or made[-1])
+    monkeypatch.setattr(Domain, "nearest_face",
+                        lambda self, x: scans.append(len(x)) or scan(self, x))
     cfg = ExperimentConfig(**base_kwargs(domain_lower=90.0, domain_upper=110.0, delta=1.0))
     problem = build_problem(cfg)
     coeffs, grid, domain, partition, scfg = problem
@@ -334,6 +339,8 @@ def test_no_solve_builds_the_state_grid(monkeypatch):
                    partition, scfg, 5)
     assert len(made) == 1 + cfg.R_runs + 2 * 2
     assert not any("states" in vars(paths) for paths in made)
+    assert all(paths.rerun is None for paths in made)
+    assert len(scans) == sum(paths.grid.N + 1 for paths in made)
 
 
 # --------------------------- repetition statistics ------------------------- #

@@ -174,7 +174,7 @@ def test_path_record_memory_falls_with_the_exit_times():
     nb = sample_noise(1, 4096, g, 1, 1)
     tracemalloc.start()
     try:
-        ps = simulate_stopped(coeffs, g, dom, nb, x0)
+        ps = simulate_stopped(coeffs, g, dom, nb, x0, keep_steps=True)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -182,6 +182,25 @@ def test_path_record_memory_falls_with_the_exit_times():
     grid = (g.N + 1) * 4096 * 1 * 8
     assert kept <= grid / 8 and peak <= grid / 8
     assert "states" not in vars(ps)
+
+
+def test_default_run_keeps_no_per_step_record():
+    # a box far wider than the paths spread: every path runs all N = 50
+    # steps, so a kept record would hold 50·M·d words.  Without it the
+    # PathSet keeps the exit index, flags and states, about M·(d + 1.125)
+    # words; the bound is 3·M·(d + 2) words, 0.29 MB against the record's
+    # 1.6 MB
+    g = build_grid(0.25, 50)
+    nb = sample_noise(3, 4096, g, 1, 1)
+    tracemalloc.start()
+    try:
+        ps = simulate_stopped(gbm_coeffs(), g, Domain.box([1.0], [1000.0]), nb, [100.0])
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not ps.exit_detected.any()
+    assert kept <= 3 * 4096 * (1 + 2) * 8
+    assert ps.rerun is not None and "steps" not in vars(ps)
 
 
 def test_pre_exit_states_clear_the_shift_collar():
@@ -383,17 +402,27 @@ _FORWARD_CASES = {
 }
 
 
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def matches_reference(coeffs, grid, dom, x0, shift=True, seed=31, M=1000):
     """simulate_stopped against reference_stopped, bitwise: every row at(n),
-    the exit states, the stacked states and the exit bookkeeping."""
+    the exit states, the stacked states and the exit bookkeeping.  The
+    default run's record, rebuilt on first read, has the bytes of the
+    record a keep_steps run kept."""
     nb = sample_noise(seed, M, grid, coeffs.d, 1)
     ps = simulate_stopped(coeffs, grid, dom, nb, x0, shift_enabled=shift)
+    kept = simulate_stopped(coeffs, grid, dom, nb, x0, shift_enabled=shift, keep_steps=True)
+    assert kept.rerun is None and ps.rerun is not None and "steps" not in vars(ps)
+    assert len(ps.steps) == len(kept.steps) == grid.N
+    assert all(same_bytes(a, b) for a, b in zip(ps.steps, kept.steps))
     states, exit_index, exit_detected = reference_stopped(coeffs, grid, dom, nb, x0, shift)
     ref = states.transpose(1, 0, 2)
     for n in range(grid.N + 1):
-        assert np.array_equal(ps.at(n), ref[n])
+        assert np.array_equal(ps.at(n), ref[n]) and same_bytes(ps.at(n), kept.at(n))
     assert np.array_equal(ps.exit_state, ref[grid.N])
-    assert np.array_equal(ps.states, ref)
+    assert np.array_equal(ps.states, ref) and same_bytes(ps.states, kept.states)
     assert np.array_equal(ps.exit_index, exit_index)
     assert np.array_equal(ps.exit_detected, exit_detected)
     return ps
@@ -414,6 +443,43 @@ def test_simulation_matches_alive_frozen_reference_bitwise(case, shift):
         assert not exit_detected.any()
     else:
         assert exit_detected.any() and not exit_detected.all()
+
+
+def test_record_is_rebuilt_once_and_not_for_the_start():
+    coeffs, dom, x0 = _FORWARD_CASES["d1-box"]
+    sizes = []
+
+    def b(x):
+        sizes.append(x.shape[0])
+        return coeffs.b(x)
+
+    g = build_grid(0.25, 40)
+    nb = sample_noise(31, 1000, g, 1, 1)
+    ps = simulate_stopped(dataclasses.replace(coeffs, b=b), g, dom, nb, x0)
+    one_pass = list(sizes)
+    assert len(one_pass) == g.N and ps.exit_detected.any()
+    ps.at(0)
+    assert sizes == one_pass
+    steps = ps.steps
+    assert sizes == one_pass * 2
+    for n in range(g.N + 1):
+        ps.at(n)
+    assert ps.states.shape == (g.N + 1, 1000, 1)
+    assert ps.steps is steps and sizes == one_pass * 2
+
+
+def test_rebuild_refuses_a_coefficient_that_changed():
+    coeffs, dom, x0 = _FORWARD_CASES["d1-box"]
+    vol = [0.2]
+    changing = dataclasses.replace(coeffs, sigma=lambda x: vol[0] * x[..., None])
+    g = build_grid(0.25, 40)
+    nb = sample_noise(31, 1000, g, 1, 1)
+    ps = simulate_stopped(changing, g, dom, nb, x0)
+    vol[0] = 0.3
+    with pytest.raises(EvaluationError, match="path record"):
+        ps.steps
+    with pytest.raises(EvaluationError, match="path record"):
+        ps.at(1)
 
 
 def test_start_on_the_shifted_boundary_stops_at_t0():

@@ -148,9 +148,9 @@ def test_terminal_values_reports_path_index():
 def _two_path_set(dB):
     """Two stationary paths in one cell with prescribed increments."""
     g = build_grid(1.0, 1)
-    x = np.full((2, 1), 0.5)  # dynamics irrelevant; regression uses the states at t_0
+    x = np.full((2, 1), 0.5)  # dynamics irrelevant: no record, only the states at t_0 are read
     return g, PathSet(
-        grid=g, start=np.array([0.5]), steps=(x,),
+        grid=g, start=np.array([0.5]),
         exit_index=np.array([1, 1]), exit_detected=np.array([False, False]), exit_state=x,
     )
 
@@ -160,7 +160,7 @@ def test_z_step_antithetic_increments_cancel():
     grid, ps = _two_path_set(a)
     part = build_partition([0.0], [1.0], 1.0)
     y_next = np.full((2, 1), 4.25)
-    cells = part.cell_index(ps.states[0])
+    cells = part.cell_index(ps.at(0))
     z_fn, realized = z_step(ps, fit_plan(part, cells, ps.live_mask(0)), cells,
                             y_next, np.array([[a], [-a]]))
     assert z_fn.coefficients[0, 0, 0] == 0.0   # exact cancellation
@@ -179,7 +179,7 @@ def test_y_step_zero_iterations_skips_driver():
                        sigma=lambda x: np.ones(x.shape + (1,)),
                        f=poisoned, phi=lambda t, x: x)
     y_next = np.array([[2.0], [6.0]])
-    cells = part.cell_index(ps.states[0])
+    cells = part.cell_index(ps.at(0))
     live = ps.live_mask(0)
     y_fn, realized, res = y_step(0, ps, fit_plan(part, cells), np.flatnonzero(live),
                                  ps.at(0), cells, y_next, np.zeros((2, 1, 1)), c, 0)
@@ -574,7 +574,9 @@ def test_backward_pass_memory_does_not_scale_with_the_step_count():
         g = build_grid(0.25, N)
         nb = sample_noise(1, 4096, g, 1, 1)
         c = reference_coeffs(g=g_linear)
-        paths = simulate_stopped(c, g, Domain.box([60.0], [200.0]), nb, [100.0])
+        # the path record is the pass's input, kept before tracing starts
+        paths = simulate_stopped(c, g, Domain.box([60.0], [200.0]), nb, [100.0],
+                                 keep_steps=True)
         part = build_partition([60.0], [200.0], 1.0)
         tracemalloc.start()
         try:
@@ -623,6 +625,32 @@ def test_strong_error_self_reference_is_zero():
     ref_y = lambda t, x: sol.y_funcs[g.index_of(t)].evaluate(x)
     ref_z = lambda t, x: sol.z_funcs[g.index_of(t)].evaluate(x)
     assert strong_error(sol, ref_y, ref_z) == 0.0
+
+
+def test_strong_error_reads_each_row_once(monkeypatch):
+    # one at(n) per step, and the bytes of the readers y_at/z_at at the live paths
+    g = build_grid(0.25, 20)
+    nb = sample_noise(4, 2048, g, 1, 1)
+    sol = solve(reference_coeffs(g=g_linear), g, Domain.box([90.0], [110.0]), nb, [100.0],
+                build_partition([90.0], [110.0], 1.0),
+                SolverConfig(mode="bdsde-random-terminal"))
+    assert sol.paths.exit_detected.any() and sol.paths.exit_index.max() == g.N
+    ref_y = lambda t, x: np.full((x.shape[0], 1), 7.0) + x
+    ref_z = lambda t, x: 0.1 * x[:, :, None]
+    expected = worst = 0.0
+    for n in range(g.N):
+        live, t = sol.paths.live_mask(n), float(g.times[n])
+        x = sol.paths.at(n)[live]
+        dy = ref_y(t, x) - sol.y_at(n)[live]
+        dz = ref_z(t, x) - sol.z_at(n)[live]
+        worst = max(worst, float(np.mean(np.sum(dy * dy, axis=-1))))
+        expected += g.h * float(np.mean(np.sum(dz * dz, axis=(-2, -1))))
+    expected += worst
+    reads = []
+    at = PathSet.at
+    monkeypatch.setattr(PathSet, "at", lambda self, n: reads.append(n) or at(self, n))
+    assert strong_error(sol, ref_y, ref_z) == expected
+    assert reads == list(range(g.N))
 
 
 def test_strong_error_skips_steps_without_a_live_path():
