@@ -64,14 +64,14 @@ C0 = 0.5826
 class PathSet:
     """Stopped Euler paths with per-path exit bookkeeping.
 
-    exit_state is each path's state at its exit index, which lies in
-    {0..N}: 0 means the start lay in the shift collar, and N doubles as the
-    no-exit sentinel, so exit_detected distinguishes a genuine last-step
-    exit from plain survival to maturity.  ``steps``, the per-step record,
-    is kept only when asked for: ``rerun`` is None then, else the call that
-    runs the loop again to rebuild it, which keeps the noise bundle alive.
-    Every array is read-only; ``states`` stacks ``at`` over t_0..t_N on
-    first access.
+    exit_state, an array of its own, is each path's state at its exit
+    index, which lies in {0..N}: 0 means the start lay in the shift collar,
+    and N doubles as the no-exit sentinel, so exit_detected distinguishes a
+    genuine last-step exit from plain survival to maturity.  ``steps``, the
+    per-step record, is kept only when asked for: ``rerun`` is None then,
+    else the call that runs the loop again to rebuild it, which keeps the
+    noise bundle alive.  Every array is read-only; ``states`` stacks ``at``
+    over t_0..t_N on first access.
     """
 
     grid: TimeGrid
@@ -193,12 +193,13 @@ def simulate_stopped(
     collar stops every path at t_0; a start outside the open domain, or a
     non-finite one, raises InvalidStartError.  The whole space (the box with
     infinite bounds) is never left, so neither test nor shift is computed
-    there.  While every path runs, a step reads noise.forward[i] whole, and
-    after the first exit the running paths are carried compactly with their
-    indices.  A step with exits writes its exiting rows of exit_state, and
-    with keep_steps each step's output is kept as PathSet.steps[i].  Without
-    it the PathSet keeps its inputs, the noise bundle too, and rebuilds the
-    record by running this loop once more on its first read.
+    there.  The running paths are carried compactly as one index and their
+    states, and a step reads their rows of noise.forward[i].  A step with
+    exits writes its exiting rows of exit_state, the survivors' rows are
+    written after the last step, and with keep_steps each step's output is
+    kept as PathSet.steps[i].  Without it the PathSet keeps its inputs, the
+    noise bundle too, and rebuilds the record by running this loop once
+    more on its first read.
     """
     if not noise.d == domain.d == coeffs.d:
         raise InvalidParameterError(
@@ -219,32 +220,27 @@ def simulate_stopped(
         return dist > (shift_width(axis, x, coeffs, grid.h) if shift_enabled else 0.0)
 
     M, N = noise.M, grid.N
-    start_inside = not test_exits or shifted_test(x0[None, :])[0]
-    exit_index = np.full(M, N if start_inside else 0, dtype=np.int64)
-    exit_state = np.tile(x0, (M, 1))                # a path that never steps stays at x0
-    live = None if start_inside else np.arange(0)   # None while every path runs
-    x = exit_state[:M if start_inside else 0]       # the running paths' states
+    # the running paths' indices and states; a collar start runs none
+    live = np.arange(M if not test_exits or shifted_test(x0[None, :])[0] else 0)
+    exit_index = np.zeros(M, dtype=np.int64)
+    exit_state = np.tile(x0, (M, 1))
+    x = exit_state.take(live, axis=0)
     steps = []
 
     for i in range(N):
-        dB = noise.forward[i] if live is None else noise.forward[i].take(live, axis=0)
-        x = _frozen(euler_step(coeffs, x, grid.h, dB))
+        x = _frozen(euler_step(coeffs, x, grid.h, noise.forward[i].take(live, axis=0)))
         if keep_steps:
             steps.append(x)
         if test_exits:
             inside = shifted_test(x)
             if not inside.all():
-                rows = np.arange(M) if live is None else live
                 out = np.flatnonzero(~inside)
-                exit_index[rows[out]] = i + 1
-                exit_state[rows[out]] = x.take(out, axis=0)
+                exit_index[live[out]] = i + 1
+                exit_state[live[out]] = x.take(out, axis=0)
                 keep = np.flatnonzero(inside)
-                live, x = rows.take(keep), x.take(keep, axis=0)
-    exit_detected = np.full(M, live is not None)
-    if live is None:  # no path stopped before t_N: its last states are the exit states
-        exit_state = x
-    else:
-        exit_state[live], exit_detected[live] = x, False
+                live, x = live.take(keep), x.take(keep, axis=0)
+    exit_detected = np.ones(M, dtype=bool)
+    exit_index[live], exit_state[live], exit_detected[live] = N, x, False
 
     rerun = None if keep_steps else functools.partial(
         simulate_stopped, coeffs, grid, domain, noise, x0,

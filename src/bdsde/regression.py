@@ -132,7 +132,7 @@ def _validate_samples(xs: Array, vs: Array, mask: Optional[Array]) -> tuple:
     vs = _shaped("targets", vs, (M,) + np.shape(vs)[1:])
     if vs.ndim < 2:
         vs = vs[:, None]
-    mask = np.ones(M, dtype=bool) if mask is None else _shaped("mask", mask, (M,)).astype(bool)
+    mask = None if mask is None else _shaped("mask", mask, (M,)).astype(bool)
     return xs, vs, mask
 
 
@@ -213,7 +213,7 @@ def lsq_oracle(
     _check_finite(flat, mask)
 
     cells = partition.cell_index(xs)
-    use = mask & (cells >= 0)
+    use = (cells >= 0) if mask is None else mask & (cells >= 0)
     design = (cells[:, None] == np.arange(partition.total_cells)[None, :])
     design = design.astype(np.float64) * use[:, None]
     gram = design.T @ design

@@ -13,8 +13,8 @@ the time-n states; z is explicit while the implicit y equation is run
 through a short Picard loop started at zero.  Paths that exited carry
 their frozen terminal value through the y-regression population but are
 excluded from the z- and driver-regressions, and their realized z is
-zero.  The pass keeps only the realized y_{n+1} and z_n; the solution
-holds the fitted functions and terminal values they are read back from.
+zero.  The pass carries y_{n+1} and z_{n+1}(X_{n+1}) of every path; the
+solution reads realized values back from the fits and terminal values.
 """
 
 from __future__ import annotations
@@ -146,14 +146,14 @@ def z_step(paths: PathSet, plan: FitPlan, cells: Array, base: Array,
     Targets base dB_n^T / h, with base = y_{n+1} + g dW_n, are fitted by
     ``plan``, whose population is the live paths (masked by
     ``paths.live_mask(n)`` after the first exit).  Returns the fitted
-    CellFunction and realized values at the time-n cell ids ``cells``, zero
-    for exited paths, whose plan bin is 0.
+    CellFunction and its values at every path's time-n cell id in ``cells``,
+    of which only the live paths' rows are read: as z_n(X_n) by the driver
+    and as z_{n+1}(X_{n+1}) by the g-term of step n-1.
     """
     targets = base[:, :, None] * np.asarray(dB_n, dtype=np.float64)[:, None, :]
     targets /= paths.grid.h
     z_fn = plan.fit(targets)
-    ids = cells if plan.mask is None else plan.bins - 1
-    return z_fn, gather(z_fn.coefficients, ids)
+    return z_fn, gather(z_fn.coefficients, cells)
 
 
 def y_step(n: int, paths: PathSet, plan: FitPlan, rows: Optional[Array], x_n: Array,
@@ -258,10 +258,8 @@ def backward_induction(
     residuals = np.zeros((N, I))
     y_funcs[N] = project(partition, paths.exit_state, term)
 
-    # kept: y_{n+1}, z_n, and the cell ids of the time-n states, computed
-    # once per step and kept one step longer to read z_{n+1} at X_{n+1}
-    y_next = term
-    cells_next: Optional[Array] = None
+    # carried: y_{n+1} and z_{n+1}(X_{n+1}) of every path; z_N = 0
+    y_next, z_next = term, np.zeros((M, k, d))
     first_exit = int(paths.exit_index.min())
     for n in range(N - 1, -1, -1):
         # before the first exit every path is live: no mask, whole arrays
@@ -277,22 +275,19 @@ def backward_induction(
             # holds X_{n+1} of exactly the live paths
             base = y_next.copy()
             if run_coeffs.g is not None:
-                x_next, y_live = paths.steps[n], _live(rows, y_next)[0]
-                z_next = (np.zeros((x_next.shape[0], k, d)) if n == N - 1
-                          else gather(z_funcs[n + 1].coefficients, *_live(rows, cells_next)))
-                gv = run_coeffs.eval_g(float(grid.times[n + 1]), x_next, y_live, z_next)
+                gv = run_coeffs.eval_g(float(grid.times[n + 1]), paths.steps[n],
+                                       *_live(rows, y_next, z_next))
                 g_dW = _g_times(gv, noise.backward[n])
                 if rows is None:
                     base += g_dW
                 else:
                     base[rows] += g_dW
             z_plan = plan if live is None else fit_plan(partition, cells, live)
-            z_funcs[n], z_n = z_step(paths, z_plan, cells, base, noise.forward[n])
+            z_funcs[n], z_next = z_step(paths, z_plan, cells, base, noise.forward[n])
             y_funcs[n], y_next, residuals[n] = y_step(
-                n, paths, plan, rows, x_n, cells, base, z_n, run_coeffs, I)
+                n, paths, plan, rows, x_n, cells, base, z_next, run_coeffs, I)
         except BdsdeError as err:
             raise type(err)(f"backward step n={n}: {err}") from err
-        cells_next = cells
 
     # empty_cells_y, empty_cells_z, out_of_range_y, out_of_range_z
     per_step = [_frozen(np.array([getattr(fn, attr) for fn in funcs]))
@@ -305,7 +300,7 @@ def backward_induction(
     return BackwardSolution(
         paths=paths,
         y_funcs=tuple(y_funcs), z_funcs=tuple(z_funcs), terminal=term,
-        Y0=y_next[0].copy(), Z0=z_n[0].copy() if N else np.zeros((k, d)),
+        Y0=y_next[0].copy(), Z0=z_next[0].copy(),
         diagnostics=diagnostics,
     )
 

@@ -75,6 +75,22 @@ def test_run_reps_and_diagnostics_out(tmp_path, capsys):
     assert len(lines) == 1 + 6 * 3        # N steps x I sweeps
 
 
+def test_run_out_without_picard_sweeps_writes_one_row_per_step(tmp_path, capsys):
+    # with I = 0 there is no residual, but the y-fit empty-cell counts of
+    # every step are still written, as sweep 0 with an empty residual
+    cfg = small_config(tmp_path, I=0, domain_lower=90.0, domain_upper=110.0)
+    config = load_config(cfg)
+    coeffs, grid, domain, partition, scfg = build_problem(config)
+    noise = sample_noise(config.seed, config.M, grid, coeffs.d, coeffs.l)
+    empty = solve(coeffs, grid, domain, noise, [config.x0], partition,
+                  scfg).diagnostics.empty_cells_y
+    diag = tmp_path / "diag.csv"
+    assert main(["run", "--config", cfg, "--out", str(diag)]) == 0
+    assert diag.read_text().splitlines() == (
+        ["n,picard_iter,residual,empty_cells"] + [f"{n},0,,{empty[n]}" for n in range(6)])
+    assert empty[:6].any()  # the counts are not all zero
+
+
 def test_run_reps_solves_each_seed_once(tmp_path, capsys, monkeypatch):
     # the printed solve is repetition 0, so --reps R makes R solves on
     # seeds seed..seed+R-1, with the statistics of repeat_runs

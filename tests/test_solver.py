@@ -251,6 +251,23 @@ def test_one_plan_per_population_and_one_lookup_per_step(monkeypatch):
     assert first_exits[0] == 20 and 0 < first_exits[1] < 20
 
 
+@pytest.mark.parametrize("I", [0, 3])
+def test_g_term_reads_the_carried_z_without_a_gather(monkeypatch, I):
+    # per step one gather of the z-fit (every path, carried to the next
+    # step's g-term), one per Picard sweep and one realized y: N (I + 2)
+    g = build_grid(0.25, 20)
+    nb = sample_noise(3, 512, g, 1, 1)
+    calls = []
+    gather = solver.gather
+    monkeypatch.setattr(solver, "gather", lambda *a: calls.append(1) or gather(*a))
+    for lo, hi in ((60.0, 200.0), (90.0, 110.0)):  # all live; with exits
+        calls.clear()
+        solve(reference_coeffs(g=g_linear), g, Domain.box([lo], [hi]), nb, [100.0],
+              build_partition([lo], [hi], 1.0),
+              SolverConfig(mode="bdsde-random-terminal", picard_iterations=I))
+        assert len(calls) == 20 * (I + 2)
+
+
 @pytest.mark.parametrize("bounds", [(60.0, 200.0), (90.0, 110.0)])
 @pytest.mark.parametrize("target", ["g_x", "g_y", "f_x", "f_z", "b_x", "sigma_x", "phi_x"])
 def test_coefficients_cannot_write_into_the_solution(bounds, target):
