@@ -15,6 +15,10 @@ the continuous path can cross the boundary and return unseen, so the raw
 test overestimates the exit time by O(sqrt(h)).  Testing against the
 shrunken domain restores first-order accuracy of exit-time functionals.
 
+The loop evaluates sigma once per state, and a stopped path keeps its row,
+held at x0, until one take drops a batch of them: b and sigma see running
+states and x0 only.
+
 A PathSet keeps the exit states, and each step's output for the paths that
 took it only when asked to; otherwise the first read of that record runs
 the loop once more.  ``at(n)`` rebuilds t_n, and the ``states`` grid is
@@ -56,6 +60,9 @@ __all__ = [
 # -zeta(1/2)/sqrt(2*pi) rounded to four decimals, the standard correction
 # for continuity-monitored barriers observed at discrete times.
 C0 = 0.5826
+
+# stopped rows are dropped once they are more than this share of the carried rows
+_DROP_SHARE = 1 / 8
 
 
 # ------------------------------ path container ----------------------------- #
@@ -132,6 +139,7 @@ def shift_width(
     x: Array,
     coeffs: CoefficientSet,
     h: float,
+    s: Optional[Array] = None,
 ) -> Array:
     """Half-width of the exit-test boundary shift at each state in x.
 
@@ -142,9 +150,12 @@ def shift_width(
     x : (M, d) array
         States at which to evaluate the shift.
     coeffs : CoefficientSet
-        Its sigma is read through ``eval_sigma``, which checks shape and finiteness.
+        Its sigma is read through ``eval_sigma``, which checks shape and
+        finiteness, unless s is given.
     h : float
         Grid step.
+    s : (M, d, d) array, optional
+        sigma(x), when the caller holds it already.
 
     Returns
     -------
@@ -155,21 +166,26 @@ def shift_width(
         raise InvalidParameterError(f"step must be positive and finite, got h={h}")
     x = np.asarray(x, dtype=np.float64)
     M, d = x.shape
-    s = coeffs.eval_sigma(x)
+    s = coeffs.eval_sigma(x) if s is None else s
+    if d == 1:  # every face lies on axis 0, and a sum of one square is that square
+        row = s[:, 0, 0]
+        return C0 * np.sqrt(h) * np.sqrt(row * row)
     # row axis[m] of each s[m], read with one flat take; the norm is the
     # sum of squares np.linalg.norm forms
     row = s.reshape(M * d, d).take(np.arange(0, M * d, d) + axis, axis=0)
     return C0 * np.sqrt(h) * np.sqrt((row * row).sum(-1))
 
 
-def euler_step(coeffs: CoefficientSet, x: Array, h: float, dB: Array) -> Array:
-    """One explicit Euler update x + b(x) h + sigma(x) dB of (M, d) states.
+def euler_step(coeffs: CoefficientSet, x: Array, h: float, dB: Array,
+               s: Optional[Array] = None) -> Array:
+    """One explicit Euler update x + b(x) h + sigma(x) dB of (M, d) states,
+    with s = sigma(x) when the caller holds it already.
 
     Coefficient outputs are shape- and finiteness-checked, with failures
     reported against the offending coefficient.
     """
-    return x + coeffs.eval_b(x) * h + np.einsum("mij,mj->mi",
-                                                coeffs.eval_sigma(x), dB)
+    return x + coeffs.eval_b(x) * h + np.einsum(
+        "mij,mj->mi", coeffs.eval_sigma(x) if s is None else s, dB)
 
 
 # ------------------------------ simulation --------------------------------- #
@@ -193,13 +209,16 @@ def simulate_stopped(
     collar stops every path at t_0; a start outside the open domain, or a
     non-finite one, raises InvalidStartError.  The whole space (the box with
     infinite bounds) is never left, so neither test nor shift is computed
-    there.  The running paths are carried compactly as one index and their
-    states, and a step reads their rows of noise.forward[i].  A step with
-    exits writes its exiting rows of exit_state, the survivors' rows are
-    written after the last step, and with keep_steps each step's output is
-    kept as PathSet.steps[i].  Without it the PathSet keeps its inputs, the
-    noise bundle too, and rebuilds the record by running this loop once
-    more on its first read.
+    there.  The loop carries an index of paths, their states and, with the
+    shift on, the exit test's sigma(x_{i+1}), which step i+1's Euler update
+    reuses.  A step reads noise.forward[i] whole until the first drop.  A
+    path that stops gets its exit_state row, and its carried row holds x0,
+    reset after every Euler update, until more than _DROP_SHARE of the
+    carried rows have stopped and one take drops them.  The survivors' rows
+    of exit_state are written after the last step.  With keep_steps each
+    step's output for the running paths is kept as PathSet.steps[i];
+    without it the PathSet keeps its inputs, the noise bundle too, and
+    rebuilds the record by running this loop once more on its first read.
     """
     if not noise.d == domain.d == coeffs.d:
         raise InvalidParameterError(
@@ -212,35 +231,50 @@ def simulate_stopped(
     if not domain.contains(x0[None, :])[0]:
         raise InvalidStartError(f"start point {x0} lies outside the open domain")
     test_exits = not domain.is_whole_space
+    test_sigma = test_exits and shift_enabled  # the exit test reads sigma(x)
 
-    def shifted_test(x: Array) -> Array:
+    def shifted_test(x: Array, s: Optional[Array] = None) -> Array:
         """Which rows of x lie strictly inside the shrunken domain; one face
         scan gives both the distance and the shift's axis."""
         dist, axis = domain.nearest_face(x)
-        return dist > (shift_width(axis, x, coeffs, grid.h) if shift_enabled else 0.0)
+        return dist > (shift_width(axis, x, coeffs, grid.h, s) if shift_enabled else 0.0)
 
     M, N = noise.M, grid.N
-    # the running paths' indices and states; a collar start runs none
+    # the carried paths' indices, states and the exit test's sigma; a
+    # collar start carries none.  The rows at ``stopped`` hold x0
     live = np.arange(M if not test_exits or shifted_test(x0[None, :])[0] else 0)
     exit_index = np.zeros(M, dtype=np.int64)
     exit_state = np.tile(x0, (M, 1))
-    x = exit_state.take(live, axis=0)
+    x, s = exit_state.take(live, axis=0), None
+    stopped = np.arange(0)
     steps = []
 
     for i in range(N):
-        x = _frozen(euler_step(coeffs, x, grid.h, noise.forward[i].take(live, axis=0)))
+        dB = noise.forward[i] if live.size == M else noise.forward[i].take(live, axis=0)
+        x = euler_step(coeffs, x, grid.h, dB, s)
+        x[stopped] = x0
         if keep_steps:
-            steps.append(x)
+            steps.append(_frozen(np.delete(x, stopped, axis=0) if stopped.size else x))
+        s = coeffs.eval_sigma(x) if test_sigma else None
         if test_exits:
-            inside = shifted_test(x)
-            if not inside.all():
-                out = np.flatnonzero(~inside)
+            inside = shifted_test(x, s)
+            inside[stopped] = True  # a stopped path stops once
+            out = np.flatnonzero(~inside)
+            if out.size:
                 exit_index[live[out]] = i + 1
                 exit_state[live[out]] = x.take(out, axis=0)
-                keep = np.flatnonzero(inside)
-                live, x = live.take(keep), x.take(keep, axis=0)
+                stopped = np.concatenate((stopped, out))
+                if stopped.size > _DROP_SHARE * live.size:
+                    keep = np.delete(np.arange(live.size), stopped)
+                    live, x, stopped = live.take(keep), x.take(keep, axis=0), stopped[:0]
+                    s = None if s is None else s.take(keep, axis=0)
+                else:
+                    x = x if x.flags.writeable else x.copy()  # x itself is steps[i]
+                    x[out] = x0
+    keep = np.delete(np.arange(live.size), stopped)  # the survivors' rows
+    alive = live.take(keep)
     exit_detected = np.ones(M, dtype=bool)
-    exit_index[live], exit_state[live], exit_detected[live] = N, x, False
+    exit_index[alive], exit_state[alive], exit_detected[alive] = N, x.take(keep, axis=0), False
 
     rerun = None if keep_steps else functools.partial(
         simulate_stopped, coeffs, grid, domain, noise, x0,

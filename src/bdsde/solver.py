@@ -92,11 +92,10 @@ class SolverDiagnostics:
 @dataclasses.dataclass(frozen=True, eq=False)
 class BackwardSolution:
     """Fitted cell functions y_n(.), z_n(.) over the stopped paths, the
-    terminal values and the t=0 readout.  ``y_at(n)`` and ``z_at(n)`` read
-    the realized values at t_n back from them on every call: the fitted
-    function at paths live after t_n, the frozen terminal value and a zero
-    z at exited ones.  ``y_values`` and ``z_values`` stack them over every
-    step on first access, read-only, and keep that (N+1)·M history."""
+    terminal values and the t=0 readout.  ``y_at(n)`` reads the realized y
+    at t_n back on every call: the fitted function at paths live after t_n,
+    the frozen terminal value at exited ones.  ``y_values`` stacks it over
+    every step on first access, read-only, and keeps that (N+1)·M history."""
 
     paths: PathSet
     y_funcs: tuple               # length N+1
@@ -112,23 +111,10 @@ class BackwardSolution:
         live = self.paths.live_mask(n)[:, None]
         return np.where(live, self.y_funcs[n].evaluate(self.paths.at(n)), self.terminal)
 
-    def z_at(self, n: int) -> Array:
-        """Realized z at t_n, (M, k, d); zero at t_N, where no path is live."""
-        n = _whole("step index n", n, 0, self.paths.grid.N + 1)
-        x = self.paths.at(n)
-        if n == self.paths.grid.N:
-            return np.zeros(self.terminal.shape + x.shape[1:])
-        return np.where(self.paths.live_mask(n)[:, None, None], self.z_funcs[n].evaluate(x), 0.0)
-
     @functools.cached_property
     def y_values(self) -> Array:
         """(N+1, M, k) history of ``y_at``."""
         return _frozen(np.stack([self.y_at(n) for n in range(self.paths.grid.N + 1)]))
-
-    @functools.cached_property
-    def z_values(self) -> Array:
-        """(N+1, M, k, d) history of ``z_at``; index N is identically zero."""
-        return _frozen(np.stack([self.z_at(n) for n in range(self.paths.grid.N + 1)]))
 
 
 # ------------------------------ scheme pieces ------------------------------ #
@@ -342,7 +328,7 @@ def strong_error(
     plus the Riemann sum h * sum_n of the pre-exit mean of the squared
     Frobenius gap in z.  Steps with no pre-exit path are skipped.  Each
     row is read once and both fits are gathered at its live states, which
-    gives the bytes of ``y_at(n)`` and ``z_at(n)`` at those paths.
+    gives the bytes of ``y_at(n)`` and of z_funcs[n] at those paths.
     """
     paths = solution.paths
     grid = paths.grid

@@ -510,6 +510,188 @@ def test_no_coefficient_call_once_every_path_exited():
     assert len(sizes) == ps.exit_index.max() and min(sizes) > 0
 
 
+# ---------------- batched drops, checked against the compacting loop ------- #
+
+def compacting_stopped(coeffs, grid, domain, noise, x0, shift_enabled=True):
+    """Test-only copy of the loop before batched drops: it compacts the
+    running paths at every step with exits, evaluates sigma twice per state
+    (Euler step and exit test) and reads the shift's row by a fancy index
+    and np.linalg.norm.  Returns the exit index, flags and states and the
+    per-step record."""
+    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
+    M, N, h = noise.M, grid.N, grid.h
+    test_exits = not domain.is_whole_space
+
+    def inside(x):
+        dist, axis = domain.nearest_face(x)
+        if not shift_enabled:
+            return dist > 0.0
+        row = coeffs.eval_sigma(x)[np.arange(x.shape[0]), axis]
+        return dist > C0 * np.sqrt(h) * np.linalg.norm(row, axis=-1)
+
+    live = np.arange(M if not test_exits or inside(x0[None, :])[0] else 0)
+    exit_index = np.zeros(M, dtype=np.int64)
+    exit_state = np.tile(x0, (M, 1))
+    x, steps = exit_state[live], []
+    for i in range(N):
+        x = x + coeffs.eval_b(x) * h + np.einsum("mij,mj->mi", coeffs.eval_sigma(x),
+                                                  noise.forward[i][live])
+        steps.append(x)
+        if test_exits:
+            ok = inside(x)
+            exit_index[live[~ok]], exit_state[live[~ok]] = i + 1, x[~ok]
+            live, x = live[ok], x[ok]
+    exit_detected = np.ones(M, dtype=bool)
+    exit_index[live], exit_state[live], exit_detected[live] = N, x, False
+    return exit_index, exit_detected, exit_state, steps
+
+
+def mixed_coeffs(d, vol, mix):
+    """GBM-like dynamics in d coordinates, sigma(x) = vol * diag(x) @ A,
+    with A the identity plus ``mix`` times the first off-diagonals."""
+    A = np.eye(d) + mix * (np.eye(d, k=1) - np.eye(d, k=-1))
+    return CoefficientSet(
+        d=d, k=1, l=1,
+        b=lambda x: 0.05 * x,
+        sigma=lambda x: vol * x[..., :, None] * A,
+        f=lambda t, x, y, z: np.zeros_like(y),
+        phi=lambda t, x: x[:, :1],
+    )
+
+
+def carried_rows(coeffs, grid, dom, nb, x0, shift):
+    """simulate_stopped with keep_steps, checked bitwise against the
+    compacting loop, and the number of rows handed to b at each step,
+    which is the number of carried rows."""
+    sizes = []
+    counted = dataclasses.replace(coeffs, b=lambda x: sizes.append(x.shape[0]) or coeffs.b(x))
+    ps = simulate_stopped(counted, grid, dom, nb, x0, shift_enabled=shift, keep_steps=True)
+    exit_index, exit_detected, exit_state, steps = compacting_stopped(
+        coeffs, grid, dom, nb, x0, shift)
+    assert same_bytes(ps.exit_index, exit_index)
+    assert same_bytes(ps.exit_detected, exit_detected)
+    assert same_bytes(ps.exit_state, exit_state)
+    assert len(ps.steps) == len(steps) == grid.N
+    assert all(same_bytes(a, b) for a, b in zip(ps.steps, steps))
+    return ps, sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    start=st.sampled_from(["centre", "collar", "whole"]),
+    shift=st.booleans(),
+    M=st.integers(1, 120),
+    N=st.integers(1, 40),
+    half=st.floats(4.0, 16.0),
+    vol=st.floats(0.05, 0.3),
+    mix=st.floats(-0.5, 0.5),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_batched_drops_match_the_compacting_loop(d, start, shift, M, N, half, vol, mix, seed):
+    coeffs = mixed_coeffs(d, vol, mix)
+    dom = (Domain.whole_space(d) if start == "whole"
+           else Domain.box([100.0 - half] * d, [100.0 + half] * d))
+    x0 = [100.0] * d
+    if start == "collar":  # inside the box, within the shift of the lower face
+        x0[0] = 100.0 - half + 1e-3
+    g = build_grid(0.25, N)
+    ps, _ = carried_rows(coeffs, g, dom, sample_noise(seed, M, g, d, 1), x0, shift)
+    if start == "collar" and shift:
+        assert (ps.exit_index == 0).all()
+
+
+@pytest.mark.parametrize("shift", [True, False])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stopped_rows_are_dropped_in_batches(d, shift):
+    # M = 100 paths on (88, 112)^d over N = 40 steps at seed 12: 47-87% of
+    # the paths exit, the carried rows shrink in three or more drops, and
+    # stopped rows are still carried after the last step
+    coeffs = mixed_coeffs(d, 0.2, 0.3)
+    g = build_grid(0.25, 40)
+    ps, sizes = carried_rows(coeffs, g, Domain.box([88.0] * d, [112.0] * d),
+                             sample_noise(12, 100, g, d, 1), [100.0] * d, shift)
+    running = [int((ps.exit_index > i).sum()) for i in range(g.N)]
+    assert len(sizes) == g.N and sizes[0] == 100
+    assert all(carried >= run for carried, run in zip(sizes, running))
+    assert sum(b < a for a, b in zip(sizes, sizes[1:])) >= 3  # drops
+    assert sizes != running  # some step carried stopped rows
+    survivors = int((~ps.exit_detected).sum())
+    assert 0 < sizes[-1] - survivors <= bdsde.forward._DROP_SHARE * sizes[-1]
+
+
+def test_a_stopped_path_stops_once():
+    # a stopped row holds x0, which passed the start test.  A sigma whose
+    # value at x0 depends on the other rows of the call, as the rounding of
+    # a batched product may, can fail x0 in a later test; that test must
+    # not stop the path again
+    base, x0 = gbm_coeffs(), 100.0
+
+    def sigma(x):
+        s = base.sigma(x)
+        at_start = (x == x0).all(axis=-1)
+        if not at_start.all():
+            s[at_start] = 1e6
+        return s
+
+    g = build_grid(0.25, 40)
+    ps, sizes = carried_rows(dataclasses.replace(base, sigma=sigma), g, Domain.box([90.0], [110.0]),
+                             sample_noise(31, 1000, g, 1, 1), [x0], True)
+    assert ps.exit_detected.any() and sizes != [1000] * g.N
+
+
+def recording(coeffs, calls):
+    """coeffs whose b and sigma append (name, a copy of x) to calls."""
+    def record(name, fn):
+        return lambda x: calls.append((name, np.array(x))) or fn(x)
+
+    return dataclasses.replace(coeffs, b=record("b", coeffs.b),
+                               sigma=record("sigma", coeffs.sigma))
+
+
+def off_start(rows, x0):
+    return rows[(rows != x0).any(axis=-1)]
+
+
+@pytest.mark.parametrize("shift", [True, False])
+@pytest.mark.parametrize("case", ["d1-box", "d1-all-exit", "d2-box", "d2-corner-ties"])
+def test_coefficients_see_running_states_and_the_start_only(case, shift):
+    # b at step i sees x_i and sigma x_i or x_{i+1} of the paths that take
+    # step i, in path order, and x0 in every other row: never the state of
+    # a path that stopped at an earlier step.  With the shift on, the exit
+    # test's sigma(x_{i+1}) serves step i+1's Euler update, so sigma is
+    # called once per carried row and step, plus the start test and step
+    # 0's Euler update
+    coeffs, dom, x0 = _FORWARD_CASES[case]
+    x0 = np.asarray(x0, dtype=np.float64)
+    g = build_grid(0.25, 40)
+    calls = []
+    ps = simulate_stopped(recording(coeffs, calls), g, dom, sample_noise(31, 1000, g, coeffs.d, 1),
+                          x0, shift_enabled=shift, keep_steps=True)
+    assert ps.exit_detected.any()
+    if shift:
+        name, rows = calls.pop(0)
+        assert name == "sigma" and same_bytes(rows, x0[None, :])
+    b_rows = [rows for name, rows in calls if name == "b"]
+    steps = len(b_rows)
+    # (name, whether the call reads x_i rather than the exit test's x_{i+1})
+    per_step = ([("b", True), ("sigma", True)] * steps if not shift
+                else [("b", True), ("sigma", True), ("sigma", False)]
+                + [("b", True), ("sigma", False)] * (steps - 1))
+    assert [name for name, _ in calls] == [name for name, _ in per_step]
+    i = -1
+    for (name, rows), (_, euler) in zip(calls, per_step):
+        i += name == "b"
+        running = ps.at(i if euler else i + 1)[ps.exit_index > i]
+        assert rows.shape[0] >= running.shape[0]
+        assert np.array_equal(off_start(rows, x0), off_start(running, x0)), (name, i)
+        if shift and name == "sigma" and not euler:
+            assert rows.shape[0] == b_rows[i].shape[0]
+    sigma_rows = sum(rows.shape[0] for name, rows in calls if name == "sigma")
+    assert sigma_rows == (ps.M if shift else 0) + sum(r.shape[0] for r in b_rows)
+    assert steps == (g.N if case != "d1-all-exit" else ps.exit_index.max())
+
+
 class ShiftComputed(Exception):
     pass
 

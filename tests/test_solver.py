@@ -314,6 +314,20 @@ def test_no_zero_row_call_when_every_path_exits_before_maturity():
 
 # --------------------- single-pass step vs per-step reference --------------- #
 
+def z_at(sol, n):
+    """Realized z at t_n, (M, k, d): z_funcs[n] at the paths live after t_n,
+    zero at exited ones and everywhere at t_N, where no path is live."""
+    x = sol.paths.at(n)
+    if n == sol.paths.grid.N:
+        return np.zeros(sol.terminal.shape + x.shape[1:])
+    return np.where(sol.paths.live_mask(n)[:, None, None], sol.z_funcs[n].evaluate(x), 0.0)
+
+
+def z_values(sol):
+    """(N+1, M, k, d) stack of z_at over every step."""
+    return np.stack([z_at(sol, n) for n in range(sol.paths.grid.N + 1)])
+
+
 def reference_backward(coeffs, grid, paths, noise, partition, mode, I):
     """The per-step algorithm that backward_induction must reproduce bitwise.
 
@@ -405,14 +419,13 @@ def assert_matches_reference(coeffs, grid, domain, noise, x0, partition, mode, I
     assert np.array_equal(sol.Y0, ref["Y0"])
     assert np.array_equal(sol.Z0, ref["Z0"])
     assert np.array_equal(sol.y_values, ref["y_values"])
-    assert np.array_equal(sol.z_values, ref["z_values"])
+    assert np.array_equal(z_values(sol), ref["z_values"])
     for n in range(grid.N + 1):
         assert sol.y_at(n).tobytes() == ref["y_values"][n].tobytes()
-        assert sol.z_at(n).tobytes() == ref["z_values"][n].tobytes()
+        assert z_at(sol, n).tobytes() == ref["z_values"][n].tobytes()
     for bad in (-1, grid.N + 1, 0.5):  # a negative n would wrap around the steps
-        for reader in (sol.y_at, sol.z_at):
-            with pytest.raises(InvalidParameterError, match="step index"):
-                reader(bad)
+        with pytest.raises(InvalidParameterError, match="step index"):
+            sol.y_at(bad)
     assert np.array_equal(sol.diagnostics.picard_residuals, ref["residuals"])
     assert np.array_equal(sol.diagnostics.empty_cells_y, ref["empty_y"])
     assert np.array_equal(sol.diagnostics.empty_cells_z, ref["empty_z"])
@@ -447,7 +460,7 @@ def test_single_pass_matches_per_step_reference_bitwise(mode, bounds, I):
     if basis == (95.0, 105.0):  # z reads 0 at live samples outside the basis
         out = [paths.live_mask(n) & (part.cell_index(paths.states[n]) < 0) for n in range(20)]
         assert sum(o.sum() for o in out) > 0
-        assert all((sol.z_at(n)[o] == 0.0).all() for n, o in enumerate(out))
+        assert all((z_at(sol, n)[o] == 0.0).all() for n, o in enumerate(out))
     if not steps:
         assert sol.Y0[0] == STRIKE - 100.0 and sol.Z0[0, 0] == 0.0
 
@@ -496,7 +509,7 @@ def test_constants_propagate():
     assert np.allclose(sol.y_values, c, atol=1e-13)
     # the uncentered regression leaves z with its c*mean(dB)/h sampling
     # noise; only the exact conditional expectation is zero
-    assert np.max(np.abs(sol.z_values)) < 5.0 * c / np.sqrt(g.h * nb.M)
+    assert np.max(np.abs(z_values(sol))) < 5.0 * c / np.sqrt(g.h * nb.M)
 
 
 def test_constant_g_reproduces_backward_integral():
@@ -535,7 +548,7 @@ def test_mode_consistency_whole_space_bitwise():
     fixed = solve(co, g, ws, nb, [0.0], part, SolverConfig(mode="bdsde-fixed-horizon"))
     random = solve(co, g, ws, nb, [0.0], part, SolverConfig(mode="bdsde-random-terminal"))
     assert np.array_equal(fixed.y_values, random.y_values)
-    assert np.array_equal(fixed.z_values, random.z_values)
+    assert np.array_equal(z_values(fixed), z_values(random))
 
 
 def test_exited_paths_frozen_and_zeroed():
@@ -549,10 +562,11 @@ def test_exited_paths_frozen_and_zeroed():
     assert paths.exit_detected.any()
     term = terminal_values(paths, c)
     assert np.array_equal(sol.y_values[20], term)
+    z = z_values(sol)
     for m in np.nonzero(paths.exit_detected)[0][:100]:
         e = paths.exit_index[m]
         assert (sol.y_values[e:, m] == term[m]).all()
-        assert (sol.z_values[e:, m] == 0.0).all()
+        assert (z[e:, m] == 0.0).all()
 
 
 def test_picard_residuals_contract_on_reference_setup():
@@ -659,7 +673,7 @@ def test_strong_error_reads_each_row_once(monkeypatch):
         live, t = sol.paths.live_mask(n), float(g.times[n])
         x = sol.paths.at(n)[live]
         dy = ref_y(t, x) - sol.y_at(n)[live]
-        dz = ref_z(t, x) - sol.z_at(n)[live]
+        dz = ref_z(t, x) - z_at(sol, n)[live]
         worst = max(worst, float(np.mean(np.sum(dy * dy, axis=-1))))
         expected += g.h * float(np.mean(np.sum(dz * dz, axis=(-2, -1))))
     expected += worst
