@@ -11,7 +11,7 @@ normal equations as an independent cross-check.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+import math
 
 import numpy as np
 
@@ -124,7 +124,7 @@ def gather(coefficients: Array, cells: Array) -> Array:
 
 # ------------------------------- projection -------------------------------- #
 
-def _validate_samples(xs: Array, vs: Array, mask: Optional[Array]) -> tuple:
+def _validate_samples(xs: Array, vs: Array) -> tuple:
     xs = _shaped("samples", xs, ("M", "d"))
     M = xs.shape[0]
     if M < 1:
@@ -132,29 +132,24 @@ def _validate_samples(xs: Array, vs: Array, mask: Optional[Array]) -> tuple:
     vs = _shaped("targets", vs, (M,) + np.shape(vs)[1:])
     if vs.ndim < 2:
         vs = vs[:, None]
-    mask = None if mask is None else _shaped("mask", mask, (M,)).astype(bool)
-    return xs, vs, mask
+    return xs, vs
 
 
-def _check_finite(flat: Array, mask: Optional[Array]) -> None:
-    if np.isfinite(flat).all():
-        return
-    bad = (True if mask is None else mask) & ~np.isfinite(flat).all(axis=1)
-    if bad.any():
-        m = int(np.nonzero(bad)[0][0])
+def _check_finite(flat: Array) -> None:
+    if not np.isfinite(flat).all():
+        m = int(np.nonzero(~np.isfinite(flat).all(axis=1))[0][0])
         raise EvaluationError(f"non-finite regression target at sample {m}")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class FitPlan:
     """One fit population's cell bookkeeping, shared by every fit over it.
-    ``bins`` is 1 + each sample's cell id, or 0 for a sample that is masked
-    out or outside [d1, d2), so ``bins - 1`` gathers zero there; ``divisor``
-    is the per-cell sample count, 1 for an empty cell (whose sum is 0)."""
+    ``bins`` is 1 + each sample's cell id, so a sample outside [d1, d2)
+    has bin 0 and ``bins - 1`` gathers zero there; ``divisor`` is the
+    per-cell sample count, 1 for an empty cell (whose sum is 0)."""
 
     partition: HypercubePartition
     bins: Array                  # (M,) int64
-    mask: Optional[Array]        # (M,) bool; None keeps every sample
     divisor: Array               # (total_cells,)
     empty_cells: int
     out_of_range_samples: int
@@ -162,11 +157,12 @@ class FitPlan:
     def fit(self, vs: Array) -> CellFunction:
         """Per-cell means of targets vs in one bincount: column c of sample m
         goes to bin ``bins[m]*C + c``, and bincount adds a bin's samples in
-        sample order, so the means equal a column-by-column fit bitwise."""
+        sample order, so the means equal a column-by-column fit bitwise.
+        A plan of no samples fits zero in every cell."""
         vs = np.asarray(vs, dtype=np.float64)
-        flat = vs.reshape(self.bins.shape[0], -1)
+        flat = vs.reshape(self.bins.shape[0], math.prod(vs.shape[1:]))
         C, total = flat.shape[1], self.partition.total_cells
-        _check_finite(flat, self.mask)
+        _check_finite(flat)
         bins = self.bins if C == 1 else (self.bins * C + np.arange(C)[:, None]).ravel()
         sums = np.bincount(bins, weights=flat.T.ravel(), minlength=(total + 1) * C)
         coeffs = sums[C:].reshape(total, C) / self.divisor[:, None]
@@ -174,32 +170,27 @@ class FitPlan:
                             self.empty_cells, self.out_of_range_samples)
 
 
-def fit_plan(partition: HypercubePartition, cells: Array,
-             mask: Optional[Array] = None) -> FitPlan:
-    """The plan of the samples at flat cell ids ``cells`` that ``mask``
-    keeps; a kept sample with id -1 is dropped and counted as out of range."""
+def fit_plan(partition: HypercubePartition, cells: Array) -> FitPlan:
+    """The plan of the samples at flat cell ids ``cells``; a sample with
+    id -1 is dropped and counted as out of range."""
     bins = cells + 1
-    if mask is not None:
-        bins *= mask
-    counts = np.bincount(bins, minlength=partition.total_cells + 1)[1:]
-    kept = cells.shape[0] if mask is None else np.count_nonzero(mask)
-    return FitPlan(partition, bins, mask, np.maximum(counts, 1).astype(np.float64),
-                   int(counts.size - np.count_nonzero(counts)), int(kept - counts.sum()))
+    counts = np.bincount(bins, minlength=partition.total_cells + 1)
+    in_cells = counts[1:]
+    return FitPlan(partition, bins, np.maximum(in_cells, 1).astype(np.float64),
+                   int(in_cells.size - np.count_nonzero(in_cells)), int(counts[0]))
 
 
-def project(partition: HypercubePartition, xs: Array, vs: Array,
-            mask: Optional[Array] = None) -> CellFunction:
+def project(partition: HypercubePartition, xs: Array, vs: Array) -> CellFunction:
     """Empirical least-squares fit of targets vs onto the indicator basis:
     the ``fit_plan`` of the cell ids of xs, then its fit of vs."""
-    xs, vs, mask = _validate_samples(xs, vs, mask)
-    return fit_plan(partition, partition.cell_index(xs), mask).fit(vs)
+    xs, vs = _validate_samples(xs, vs)
+    return fit_plan(partition, partition.cell_index(xs)).fit(vs)
 
 
 def lsq_oracle(
     partition: HypercubePartition,
     xs: Array,
     vs: Array,
-    mask: Optional[Array] = None,
 ) -> Array:
     """Indicator-basis least squares via assembled normal equations.
 
@@ -208,14 +199,12 @@ def lsq_oracle(
     empty cells come out zero.  Quadratic in the cell count; intended for
     cross-checking ``project`` on small instances, not production fits.
     """
-    xs, vs, mask = _validate_samples(xs, vs, mask)
+    xs, vs = _validate_samples(xs, vs)
     flat = vs.reshape(xs.shape[0], -1)
-    _check_finite(flat, mask)
+    _check_finite(flat)
 
     cells = partition.cell_index(xs)
-    use = (cells >= 0) if mask is None else mask & (cells >= 0)
-    design = (cells[:, None] == np.arange(partition.total_cells)[None, :])
-    design = design.astype(np.float64) * use[:, None]
+    design = (cells[:, None] == np.arange(partition.total_cells)[None, :]).astype(np.float64)
     gram = design.T @ design
     rhs = design.T @ flat
     sol, *_ = np.linalg.lstsq(gram, rhs, rcond=None)

@@ -11,10 +11,11 @@ where g_{n+1} = g(t_{n+1}, X_{n+1}, y_{n+1}, z_{n+1}(X_{n+1})) and
 f_n = f(t_n, X_n, y_n, z_n(X_n)).  E_n is the hypercube regression at
 the time-n states; z is explicit while the implicit y equation is run
 through a short Picard loop started at zero.  Paths that exited carry
-their frozen terminal value through the y-regression population but are
-excluded from the z- and driver-regressions, and their realized z is
-zero.  The pass carries y_{n+1} and z_{n+1}(X_{n+1}) of every path; the
-solution reads realized values back from the fits and terminal values.
+their frozen terminal value through the y-regression population; the
+z-fit runs over the live rows alone, the driver reads only them, and the
+realized z of an exited path is zero.  The pass carries y_{n+1} and
+z_{n+1}(X_{n+1}) of every path; the solution reads realized values back
+from the fits and terminal values.
 """
 
 from __future__ import annotations
@@ -130,11 +131,11 @@ def z_step(paths: PathSet, plan: FitPlan, cells: Array, base: Array,
     """Explicit regression for z at step n.
 
     Targets base dB_n^T / h, with base = y_{n+1} + g dW_n, are fitted by
-    ``plan``, whose population is the live paths (masked by
-    ``paths.live_mask(n)`` after the first exit).  Returns the fitted
-    CellFunction and its values at every path's time-n cell id in ``cells``,
-    of which only the live paths' rows are read: as z_n(X_n) by the driver
-    and as z_{n+1}(X_{n+1}) by the g-term of step n-1.
+    ``plan``, whose population is the live paths: ``base``, ``dB_n`` and
+    the plan's cell ids are their rows.  Returns the fitted CellFunction
+    and its values at every path's time-n cell id in ``cells``, of which
+    only the live paths' rows are read: as z_n(X_n) by the driver and as
+    z_{n+1}(X_{n+1}) by the g-term of step n-1.
     """
     targets = base[:, :, None] * np.asarray(dB_n, dtype=np.float64)[:, None, :]
     targets /= paths.grid.h
@@ -248,10 +249,9 @@ def backward_induction(
     y_next, z_next = term, np.zeros((M, k, d))
     first_exit = int(paths.exit_index.min())
     for n in range(N - 1, -1, -1):
-        # before the first exit every path is live: no mask, whole arrays
-        # instead of gathers, and one plan for the z- and the y-fit
-        live = None if n < first_exit else paths.live_mask(n)
-        rows = None if live is None else np.flatnonzero(live)
+        # before the first exit every path is live: whole arrays instead of
+        # gathers, and one plan for the z- and the y-fit
+        rows = None if n < first_exit else np.flatnonzero(paths.live_mask(n))
         x_n = paths.at(n)
         cells = partition.cell_index(x_n)
         plan = fit_plan(partition, cells)
@@ -268,8 +268,8 @@ def backward_induction(
                     base += g_dW
                 else:
                     base[rows] += g_dW
-            z_plan = plan if live is None else fit_plan(partition, cells, live)
-            z_funcs[n], z_next = z_step(paths, z_plan, cells, base, noise.forward[n])
+            z_plan = plan if rows is None else fit_plan(partition, cells.take(rows))
+            z_funcs[n], z_next = z_step(paths, z_plan, cells, *_live(rows, base, noise.forward[n]))
             y_funcs[n], y_next, residuals[n] = y_step(
                 n, paths, plan, rows, x_n, cells, base, z_next, run_coeffs, I)
         except BdsdeError as err:

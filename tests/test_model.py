@@ -588,8 +588,6 @@ _SHAPE_SITES = {
                         "samples must have shape (M, d), got ()"),
     "project targets": (lambda: project(build_partition(*_BOX, 20.0), _XS, 5.0),
                         "targets must have shape (3,), got ()"),
-    "project mask": (lambda: project(build_partition(*_BOX, 20.0), _XS, np.zeros(3), np.ones(2)),
-                     "mask must have shape (3,), got (2,)"),
     "lsq_oracle samples": (lambda: lsq_oracle(build_partition(*_BOX, 20.0), 1.0, np.zeros(3)),
                            "samples must have shape (M, d), got ()"),
     "lsq_oracle targets": (lambda: lsq_oracle(build_partition(*_BOX, 20.0), _XS, 5.0),

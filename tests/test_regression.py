@@ -140,18 +140,6 @@ def test_out_of_range_samples_dropped_and_counted():
     assert fn.out_of_range_samples == 1
 
 
-def test_mask_excludes_samples():
-    p = build_partition([0.0], [1.0], 1.0)
-    xs = np.array([[0.1], [0.2], [0.3]])
-    vs = np.array([[1.0], [2.0], [30.0]])
-    fn = project(p, xs, vs, mask=np.array([True, True, False]))
-    assert fn.coefficients[0, 0] == pytest.approx(1.5)
-    # masked-out targets may be garbage without tripping the finite check
-    vs[2, 0] = np.nan
-    fn = project(p, xs, vs, mask=np.array([True, True, False]))
-    assert fn.coefficients[0, 0] == pytest.approx(1.5)
-
-
 def test_projection_linearity():
     p = build_partition([0.0], [3.0], 1.0)
     rng = np.random.default_rng(2)
@@ -202,14 +190,23 @@ def test_empty_sample_set_rejected():
         project(p, np.zeros((0, 1)), np.zeros((0, 1)))
 
 
-def test_target_count_and_mask_shape_must_match_the_samples():
+def test_plan_of_no_samples_fits_zero_in_every_cell():
+    # the z-fit of a step with no live path, as at a start in the shift
+    # collar, is a plan over zero rows
+    p = build_partition([0.0, 0.0], [2.0, 3.0], 1.0)
+    plan = fit_plan(p, np.empty(0, dtype=np.int64))
+    for shape in ((0,), (0, 1), (0, 2, 1)):
+        fn = plan.fit(np.empty(shape))
+        assert fn.coefficients.shape == (6,) + shape[1:]
+        assert not fn.coefficients.any()
+        assert (fn.empty_cells, fn.out_of_range_samples) == (6, 0)
+
+
+def test_target_count_must_match_the_samples():
     p = build_partition([0.0], [1.0], 1.0)
     xs = np.array([[0.1], [0.2], [0.3]])
     with pytest.raises(InvalidParameterError, match=r"targets must have shape \(3, 1\), got \(2, 1\)"):
         project(p, xs, np.ones((2, 1)))
-    for mask in (np.ones(2, dtype=bool), np.ones((3, 1), dtype=bool)):
-        with pytest.raises(InvalidParameterError, match=r"mask must have shape \(3,\)"):
-            project(p, xs, np.ones((3, 1)), mask=mask)
 
 
 # ------------------------------- lsq oracle -------------------------------- #
@@ -235,11 +232,11 @@ def test_project_agrees_with_oracle_on_random_instances():
         p = build_partition(np.zeros(d), np.full(d, float(L)), 1.0)
         xs = rng.uniform(-0.5, L + 0.5, size=(M, d))  # some out of range
         vs = rng.normal(size=(M, int(rng.integers(1, 3))))
-        mask = rng.random(M) < 0.8
-        if not mask.any():
-            mask[0] = True
-        fn = project(p, xs, vs, mask=mask)
-        oracle = lsq_oracle(p, xs, vs, mask=mask)
+        rows = np.flatnonzero(rng.random(M) < 0.8)  # a random subset of the rows
+        if not rows.size:
+            rows = np.array([0])
+        fn = project(p, xs[rows], vs[rows])
+        oracle = lsq_oracle(p, xs[rows], vs[rows])
         assert np.max(np.abs(fn.coefficients - oracle)) < 1e-10
 
 
@@ -268,31 +265,35 @@ def fit_problems(draw):
     xs = draw(hnp.arrays(np.float64, (M, d), elements=coord))
     vs = draw(hnp.arrays(np.float64, (M,) + vshape,
                          elements=st.floats(-10.0, 10.0, allow_nan=False)))
-    mask = draw(hnp.arrays(np.bool_, (M,)))
+    keep = draw(hnp.arrays(np.bool_, (M,)))
     probes = draw(hnp.arrays(np.float64, (draw(st.integers(0, 20)), d), elements=coord))
-    return build_partition(np.zeros(d), np.full(d, float(L)), 1.0), xs, vs, mask, probes
+    return build_partition(np.zeros(d), np.full(d, float(L)), 1.0), xs, vs, keep, probes
 
 
 @settings(max_examples=150, deadline=None)
 @given(fit_problems())
 def test_project_is_the_id_based_fit(problem):
-    p, xs, vs, mask, probes = problem
+    # the fit of a random subset of the rows equals the cell means of every
+    # row with the others masked out, bitwise
+    p, xs, vs, keep, probes = problem
+    rows = np.flatnonzero(keep)
     cells = p.cell_index(xs)
-    fn = project(p, xs, vs, mask=mask)
-    coeffs, empty, out = column_fit(cells, vs.reshape(len(xs), -1), mask, p.total_cells)
+    fn = fit_plan(p, cells.take(rows)).fit(vs[rows])
+    coeffs, empty, out = column_fit(cells, vs.reshape(len(xs), -1), keep, p.total_cells)
     assert np.array_equal(fn.coefficients.reshape(p.total_cells, -1), coeffs)
     assert fn.coefficients.shape == (p.total_cells,) + vs.shape[1:]
     assert (fn.empty_cells, fn.out_of_range_samples) == (empty, out)
-    same = fit_plan(p, cells, mask).fit(vs)
-    assert np.array_equal(same.coefficients, fn.coefficients)
+    if rows.size:
+        same = project(p, xs[rows], vs[rows])
+        assert np.array_equal(same.coefficients, fn.coefficients)
     # evaluation is the gather at the probes' ids, zero outside [d1, d2)
     ids = p.cell_index(probes)
     expected = np.where((ids >= 0).reshape((-1,) + (1,) * (vs.ndim - 1)),
                         fn.coefficients[np.maximum(ids, 0)], 0.0)
     assert np.array_equal(fn.evaluate(probes), expected)
     assert np.array_equal(gather(fn.coefficients, ids), expected)
-    if mask.any():
-        oracle = lsq_oracle(p, xs, vs, mask=mask)
+    if rows.size:
+        oracle = lsq_oracle(p, xs[rows], vs[rows])
         assert np.max(np.abs(fn.coefficients - oracle)) < 1e-10
 
 
@@ -335,22 +336,25 @@ def plan_problems(draw):
     total = draw(st.integers(1, 8))
     M = draw(st.integers(1, 60))
     cells = draw(hnp.arrays(np.int64, (M,), elements=st.integers(-1, total - 1)))
-    mask = draw(st.none() | hnp.arrays(np.bool_, (M,)))
+    keep = draw(st.none() | hnp.arrays(np.bool_, (M,)))
     vshape = draw(st.sampled_from([(1,), (2,), (2, 2)]))  # C = 1, 2, 4
     values = st.floats(-1e6, 1e6, allow_nan=False)
     targets = [draw(hnp.arrays(np.float64, (M,) + vshape, elements=values))
                for _ in range(draw(st.integers(1, 3)))]
-    return build_partition([0.0], [float(total)], 1.0), cells, mask, targets
+    return build_partition([0.0], [float(total)], 1.0), cells, keep, targets
 
 
 @settings(max_examples=200, deadline=None)
 @given(plan_problems())
 def test_plan_fits_equal_the_per_call_fit_bitwise(problem):
-    p, cells, mask, targets = problem
-    plan = fit_plan(p, cells, mask)
+    # a plan over a random subset of the rows (all of them, some or none)
+    # fits what the per-call fit over every row with the others masked out does
+    p, cells, keep, targets = problem
+    rows = np.arange(cells.shape[0]) if keep is None else np.flatnonzero(keep)
+    plan = fit_plan(p, cells.take(rows))
     for vs in targets:  # one plan serves every fit over its population
-        coeffs, empty, out = reference_fit_cells(p, cells, vs, mask)
-        for fn in (plan.fit(vs), fit_plan(p, cells, mask).fit(vs)):
+        coeffs, empty, out = reference_fit_cells(p, cells, vs, keep)
+        for fn in (plan.fit(vs[rows]), fit_plan(p, cells.take(rows)).fit(vs[rows])):
             assert fn.coefficients.shape == coeffs.shape
             assert fn.coefficients.tobytes() == coeffs.tobytes()
             assert (fn.empty_cells, fn.out_of_range_samples) == (empty, out)

@@ -29,7 +29,8 @@ from bdsde import (
     z_step,
 )
 from bdsde import regression, solver
-from bdsde.regression import HypercubePartition, fit_plan, project
+from bdsde.regression import CellFunction, HypercubePartition, fit_plan, project
+from test_regression import column_fit
 
 MU, VOL, RATE, RATE_HI, STRIKE = 0.05, 0.2, 0.01, 0.06, 115.0
 THETA = (MU - RATE) / VOL
@@ -161,8 +162,7 @@ def test_z_step_antithetic_increments_cancel():
     part = build_partition([0.0], [1.0], 1.0)
     y_next = np.full((2, 1), 4.25)
     cells = part.cell_index(ps.at(0))
-    z_fn, realized = z_step(ps, fit_plan(part, cells, ps.live_mask(0)), cells,
-                            y_next, np.array([[a], [-a]]))
+    z_fn, realized = z_step(ps, fit_plan(part, cells), cells, y_next, np.array([[a], [-a]]))
     assert z_fn.coefficients[0, 0, 0] == 0.0   # exact cancellation
     assert (realized == 0.0).all()
 
@@ -221,20 +221,20 @@ def test_one_live_mask_per_backward_step(monkeypatch):
 
 
 def test_one_plan_per_population_and_one_lookup_per_step(monkeypatch):
-    # per step one plan for all paths (y, shared by the Picard sweeps) and,
-    # from the first exit down, one for the live paths (z); before the first
-    # exit the two populations are equal and share the plan.  With the
-    # terminal fit: 2N + 1 plans minus the steps before the first exit, so
-    # N + 1 with every path live; one cell lookup per step plus the
-    # terminal one: N + 1
+    # per step one plan for all M paths (y, shared by the Picard sweeps)
+    # and, on the steps with exits, one over exactly the live rows (z);
+    # before the first exit the two populations are equal and share the
+    # plan.  With the terminal fit: 2N + 1 plans minus the steps before the
+    # first exit, so N + 1 with every path live; one cell lookup per step
+    # plus the terminal one: N + 1
     g = build_grid(0.25, 20)
     nb = sample_noise(3, 512, g, 1, 1)
     plans, lookups, first_exits = [], [], []
     fit_plan, cell_index = regression.fit_plan, HypercubePartition.cell_index
 
-    def counting_plan(*args, **kwargs):
-        plans.append(1)
-        return fit_plan(*args, **kwargs)
+    def counting_plan(partition, cells):
+        plans.append(cells.shape[0])
+        return fit_plan(partition, cells)
 
     monkeypatch.setattr(regression, "fit_plan", counting_plan)
     monkeypatch.setattr(solver, "fit_plan", counting_plan)
@@ -248,6 +248,11 @@ def test_one_plan_per_population_and_one_lookup_per_step(monkeypatch):
                     SolverConfig(mode="bdsde-random-terminal", picard_iterations=3))
         first_exits.append(int(sol.paths.exit_index.min()))
         assert (len(plans), len(lookups)) == (2 * 20 + 1 - first_exits[-1], 20 + 1)
+        want = [512]  # the terminal fit, then per step the y-plan and the z-plan
+        for n in range(19, -1, -1):
+            live = int(sol.paths.live_mask(n).sum())
+            want += [512] if n < first_exits[-1] else [512, live]
+        assert plans == want
     assert first_exits[0] == 20 and 0 < first_exits[1] < 20
 
 
@@ -331,9 +336,11 @@ def z_values(sol):
 def reference_backward(coeffs, grid, paths, noise, partition, mode, I):
     """The per-step algorithm that backward_induction must reproduce bitwise.
 
-    Every fit is a project() at the time-n states, every read an evaluate(),
-    and the g-term is computed twice per step: once for the z-target and
-    once for the y-target.
+    Every y-fit is a project() at the time-n states, every read an
+    evaluate(), and the g-term is computed twice per step: once for the
+    z-target and once for the y-target.  The z-fit is a masked cell mean
+    over all M paths (``column_fit``), not a fit over the live rows, so the
+    solver's compacted population is checked against the mask bitwise.
     """
     if mode == "bsde":
         coeffs = dataclasses.replace(coeffs, g=None)
@@ -365,7 +372,9 @@ def reference_backward(coeffs, grid, paths, noise, partition, mode, I):
         targets = np.zeros((M, k, d))
         targets[live] = ((y_next[live] + g_z[live])[:, :, None]
                          * noise.forward[n][live, None, :] / grid.h)
-        z_fn = project(partition, x_n, targets, mask=live)
+        coef, empty, _ = column_fit(partition.cell_index(x_n), targets.reshape(M, -1), live,
+                                    partition.total_cells)
+        z_fn = CellFunction(partition, coef.reshape(-1, k, d), empty)
         if live.any():
             z_values[n][live] = z_fn.evaluate(x_n[live])
         base = y_next.copy()
