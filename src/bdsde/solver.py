@@ -5,17 +5,18 @@ path dW, the recursion over n = N-1..0 reads
 
     y_N = phi(exit_time, exit_state)                        (all paths)
     z_n = E_n[ (y_{n+1} + g_{n+1} dW_n) dB_n^T ] / h        (live paths)
-    y_n = E_n[ y_{n+1} ] + 1_live ( h E_n[ f_n ] + E_n[ g_{n+1} dW_n ] )
+    y_n = E_n[ y_{n+1} + h f_n + g_{n+1} dW_n ]             (live paths)
 
 where g_{n+1} = g(t_{n+1}, X_{n+1}, y_{n+1}, z_{n+1}(X_{n+1})) and
 f_n = f(t_n, X_n, y_n, z_n(X_n)).  E_n is the hypercube regression at
 the time-n states; z is explicit while the implicit y equation is run
-through a short Picard loop started at zero.  Paths that exited carry
-their frozen terminal value through the y-regression population; the
-z-fit runs over the live rows alone, the driver reads only them, and the
-realized z of an exited path is zero.  The pass carries y_{n+1} and
-z_{n+1}(X_{n+1}) of every path; the solution reads realized values back
-from the fits and terminal values.
+through a short Picard loop started at zero.  E_n conditions on F_{t_n},
+which knows whether a path has exited, so each step's one fit population
+is the paths live after t_n: the z-fit and every y-fit run over their
+rows alone, and the driver reads only them.  An exited path keeps its
+frozen terminal value as y and has realized z zero.  The pass carries
+y_{n+1} and z_{n+1}(X_{n+1}) of every path; the solution reads realized
+values back from the fits and terminal values.
 """
 
 from __future__ import annotations
@@ -143,47 +144,37 @@ def z_step(paths: PathSet, plan: FitPlan, cells: Array, base: Array,
     return z_fn, gather(z_fn.coefficients, cells)
 
 
-def y_step(n: int, paths: PathSet, plan: FitPlan, rows: Optional[Array], x_n: Array,
+def y_step(n: int, paths: PathSet, plan: FitPlan, rows: slice | Array, x_n: Array,
            cells: Array, base: Array, z_n: Array, coeffs: CoefficientSet,
            picard_iterations: int) -> tuple:
     """Implicit regression for y at step n via Picard iteration from zero.
 
-    Every path contributes to the fit population, whose ``plan`` serves
-    every sweep: live paths carry the full target base + h f with
-    base = y_{n+1} + g dW_n, exited paths carry their frozen value so the
-    conditional-mean term survives for their cells.  The iterates live as
-    coefficient arrays and are read back at the live paths, ``rows`` of the
-    states ``x_n`` = ``paths.at(n)`` (None while every path is live).  With
-    zero iterations the projection of base is returned and f never enters.
-    Returns (CellFunction, realized values, residuals).
+    The fit population is the live paths, ``rows`` of the states ``x_n`` =
+    ``paths.at(n)``, their cell ids ``cells``, ``base`` and the carried
+    ``z_n`` (a slice while every path is live); ``plan`` is theirs and
+    serves every sweep.  ``base`` holds y_{n+1} + g dW_n at the live rows
+    and the frozen terminal value at exited ones.  A sweep fits base + h f
+    at the live rows, f read at the previous iterate's coefficients; with
+    zero iterations base itself is fitted and f never enters.  The fitted
+    y overwrites ``base`` at the live rows, which makes it the realized y_n
+    of every path.  Returns (CellFunction, base, residuals).
     """
     residuals = np.zeros(picard_iterations)
+    cells_live, base_live = cells[rows], base[rows]
     if picard_iterations == 0:
-        y_fn = plan.fit(base)
+        y_fn = plan.fit(base_live)
     else:
-        x_live, z_live, cells_live, base_live = _live(rows, x_n, z_n, cells, base)
+        x_live, z_live = x_n[rows], z_n[rows]
         t_n = float(paths.grid.times[n])
         coef = np.zeros((plan.partition.total_cells, coeffs.k))
-        target = None if rows is None else base.copy()
         for it in range(picard_iterations):
             hf = paths.grid.h * coeffs.eval_f(t_n, x_live, gather(coef, cells_live), z_live)
             hf += base_live
-            if rows is not None:
-                target[rows] = hf
-            y_fn = plan.fit(hf if rows is None else target)
+            y_fn = plan.fit(hf)
             residuals[it] = float(np.max(np.abs(y_fn.coefficients - coef)))
             coef = y_fn.coefficients
-    if rows is None:
-        return y_fn, gather(y_fn.coefficients, cells), residuals
-    realized = base.copy()  # the exited paths keep their frozen value
-    realized[rows] = gather(y_fn.coefficients, cells.take(rows))
-    return y_fn, realized, residuals
-
-
-def _live(rows: Optional[Array], *arrays: Array) -> tuple:
-    """The live rows of each array: the arrays themselves while every path
-    is live (``rows`` None), else their rows at the indices ``rows``."""
-    return arrays if rows is None else tuple(a.take(rows, axis=0) for a in arrays)
+    base[rows] = gather(y_fn.coefficients, cells_live)
+    return y_fn, base, residuals
 
 
 def _g_times(gv: Array, dW_n: Array) -> Array:
@@ -249,12 +240,12 @@ def backward_induction(
     y_next, z_next = term, np.zeros((M, k, d))
     first_exit = int(paths.exit_index.min())
     for n in range(N - 1, -1, -1):
-        # before the first exit every path is live: whole arrays instead of
-        # gathers, and one plan for the z- and the y-fit
-        rows = None if n < first_exit else np.flatnonzero(paths.live_mask(n))
+        # the paths live after t_n are the one fit population of the step:
+        # a slice, so views, before the first exit and indices after it
+        rows = slice(None) if n < first_exit else np.flatnonzero(paths.live_mask(n))
         x_n = paths.at(n)
         cells = partition.cell_index(x_n)
-        plan = fit_plan(partition, cells)
+        plan = fit_plan(partition, cells[rows])
         try:
             # base = y_{n+1} + g(t_{n+1}, X_{n+1}, y_{n+1}, z_{n+1}(X_{n+1})) dW_n
             # on live paths, shared by the z- and the y-regression; steps[n]
@@ -262,14 +253,9 @@ def backward_induction(
             base = y_next.copy()
             if run_coeffs.g is not None:
                 gv = run_coeffs.eval_g(float(grid.times[n + 1]), paths.steps[n],
-                                       *_live(rows, y_next, z_next))
-                g_dW = _g_times(gv, noise.backward[n])
-                if rows is None:
-                    base += g_dW
-                else:
-                    base[rows] += g_dW
-            z_plan = plan if rows is None else fit_plan(partition, cells.take(rows))
-            z_funcs[n], z_next = z_step(paths, z_plan, cells, *_live(rows, base, noise.forward[n]))
+                                       y_next[rows], z_next[rows])
+                base[rows] += _g_times(gv, noise.backward[n])
+            z_funcs[n], z_next = z_step(paths, plan, cells, base[rows], noise.forward[n][rows])
             y_funcs[n], y_next, residuals[n] = y_step(
                 n, paths, plan, rows, x_n, cells, base, z_next, run_coeffs, I)
         except BdsdeError as err:

@@ -204,6 +204,75 @@ def test_stopped_scheme_y0_matches_2d_closed_form_with_exits():
     assert abs(gaps.mean()) < 4.0 * se
 
 
+# An exact doubly stochastic solution with a y-dependent g: d = k = l = 1,
+# b = 0, sigma = s, f = 0 and g = beta y.  With
+# E_t = exp(beta (W_T - W_t) - beta**2 (T - t) / 2), the pair u(t, x) = x E_t,
+# z(t, x) = s E_t solves the equation on every realized W, and with the
+# payoff phi = u at each path's exit time Y_t = u(t ^ tau, X_{t ^ tau}) also
+# holds with exits.  phi closes over the solve's own backward increments:
+# W_T - W_{t_n} is the sum of dW_j over j >= n.  Y0's error is driven by W,
+# so many seeds of few paths measure it.
+S_EXACT, BETA = 10.0, 1.0
+
+
+def exact_gaps(N, M, seeds, mode):
+    """Y0 - u0 of I = 0 solves from x0 = 100 on the box (95, 105) and the
+    basis (65, 135), delta = 1, one per seed, and their mean exit
+    fraction; the fixed-horizon mode never stops a path."""
+    grid = build_grid(0.25, N)
+    part = build_partition([65.0], [135.0], 1.0)
+    gaps, exits = [], []
+    for seed in seeds:
+        noise = sample_noise(seed, M, grid, 1, 1)
+        tail = np.concatenate([np.cumsum(noise.backward[::-1, 0])[::-1], [0.0]])
+        e = np.exp(BETA * tail - 0.5 * BETA ** 2 * (grid.times[-1] - grid.times))
+        c = CoefficientSet(
+            d=1, k=1, l=1,
+            b=lambda x: np.zeros_like(x),
+            sigma=lambda x: np.full(x.shape + (1,), S_EXACT),
+            f=lambda t, x, y, z: np.zeros_like(y),
+            phi=lambda t, x, e=e: x * e[np.searchsorted(grid.times, t)][..., None],
+            g=lambda t, x, y, z: BETA * y[..., None],
+        )
+        sol = solve(c, grid, Domain.box([95.0], [105.0]), noise, [100.0], part,
+                    SolverConfig(mode=mode, picard_iterations=0))
+        gaps.append(sol.Y0[0] - 100.0 * e[0])
+        exits.append(sol.diagnostics.exit_fraction)
+    return np.array(gaps), float(np.mean(exits))
+
+
+def test_exact_doubly_stochastic_solution_with_exits():
+    # box (95, 105), M = 1024, seeds 1-64 (about 2 s).  Over 4 disjoint
+    # 64-seed sets the rms of Y0 - u0 was 1.33-1.82 at N = 80 and fell to
+    # 0.49-0.63 of its N = 20 value; a y-fit that lets exited paths' frozen
+    # values into the live paths' cells gave 9.4-12.4 at N = 80, 1.3-3.4
+    # times its N = 20 value.  The bounds 3.5 and 0.75 lie about twice and
+    # 1.2 times above the worst set.  M = 2048 gives the same rms to 0.01
+    rms = {}
+    for N in (20, 80):
+        gaps, exits = exact_gaps(N, 1024, range(1, 65), "bdsde-random-terminal")
+        rms[N] = float(np.sqrt(np.mean(gaps ** 2)))
+        print(f"N={N}: exit fraction {exits:.3f}, Y0 - u0 = {gaps.mean():+.3f}, "
+              f"rms {rms[N]:.3f}")
+        assert exits > 0.5, N
+    assert rms[80] < 3.5
+    assert rms[80] < 0.75 * rms[20]
+
+
+def test_exact_doubly_stochastic_solution_fixed_horizon():
+    # M = 256, seeds 1-128 (about 1 s).  The error is the Euler error of
+    # the backward integral, order 1/2: the rms was 6.0/4.5/3.2 at
+    # N = 10/20/40 over 1,024 seeds, and over 8 disjoint 128-seed sets each
+    # doubling of N took it to 0.64-0.91 (10 -> 20) and 0.61-0.84
+    # (20 -> 40) of its value; 0.95 lies above the worst set
+    rms = []
+    for N in (10, 20, 40):
+        gaps, _ = exact_gaps(N, 256, range(1, 129), "bdsde-fixed-horizon")
+        rms.append(float(np.sqrt(np.mean(gaps ** 2))))
+    print("rms of Y0 - u0 at N = 10/20/40: " + "/".join(f"{r:.3f}" for r in rms))
+    assert rms[1] < 0.95 * rms[0] and rms[2] < 0.95 * rms[1]
+
+
 def test_spde_point_near_the_boundary_matches_closed_form():
     grid = build_grid(0.25, 20)
     dom = Domain.box([90.0], [110.0])

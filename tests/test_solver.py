@@ -221,12 +221,9 @@ def test_one_live_mask_per_backward_step(monkeypatch):
 
 
 def test_one_plan_per_population_and_one_lookup_per_step(monkeypatch):
-    # per step one plan for all M paths (y, shared by the Picard sweeps)
-    # and, on the steps with exits, one over exactly the live rows (z);
-    # before the first exit the two populations are equal and share the
-    # plan.  With the terminal fit: 2N + 1 plans minus the steps before the
-    # first exit, so N + 1 with every path live; one cell lookup per step
-    # plus the terminal one: N + 1
+    # per step one plan over exactly the live rows, shared by the z-fit and
+    # every Picard sweep, plus the terminal fit over all M exit states:
+    # N + 1 plans; one cell lookup per step plus the terminal one: N + 1
     g = build_grid(0.25, 20)
     nb = sample_noise(3, 512, g, 1, 1)
     plans, lookups, first_exits = [], [], []
@@ -247,12 +244,9 @@ def test_one_plan_per_population_and_one_lookup_per_step(monkeypatch):
                     build_partition([lo], [hi], 1.0),
                     SolverConfig(mode="bdsde-random-terminal", picard_iterations=3))
         first_exits.append(int(sol.paths.exit_index.min()))
-        assert (len(plans), len(lookups)) == (2 * 20 + 1 - first_exits[-1], 20 + 1)
-        want = [512]  # the terminal fit, then per step the y-plan and the z-plan
-        for n in range(19, -1, -1):
-            live = int(sol.paths.live_mask(n).sum())
-            want += [512] if n < first_exits[-1] else [512, live]
-        assert plans == want
+        assert (len(plans), len(lookups)) == (20 + 1, 20 + 1)
+        # the terminal fit, then per step the live paths' plan
+        assert plans == [512] + [int(sol.paths.live_mask(n).sum()) for n in range(19, -1, -1)]
     assert first_exits[0] == 20 and 0 < first_exits[1] < 20
 
 
@@ -336,10 +330,10 @@ def z_values(sol):
 def reference_backward(coeffs, grid, paths, noise, partition, mode, I):
     """The per-step algorithm that backward_induction must reproduce bitwise.
 
-    Every y-fit is a project() at the time-n states, every read an
-    evaluate(), and the g-term is computed twice per step: once for the
-    z-target and once for the y-target.  The z-fit is a masked cell mean
-    over all M paths (``column_fit``), not a fit over the live rows, so the
+    Every read is an evaluate(), and the g-term is computed twice per step:
+    once for the z-target and once for the y-target.  Below step N the z-
+    and every y-fit are masked cell means over all M paths (``column_fit``)
+    with the live paths as the mask, not fits over the live rows, so the
     solver's compacted population is checked against the mask bitwise.
     """
     if mode == "bsde":
@@ -363,24 +357,27 @@ def reference_backward(coeffs, grid, paths, noise, partition, mode, I):
         out[live] = gv @ noise.backward[n]
         return out
 
+    def masked_fit(cells, targets, live):
+        coef, empty, _ = column_fit(cells, targets.reshape(M, -1), live, partition.total_cells)
+        return CellFunction(partition, coef.reshape((-1,) + targets.shape[1:]), empty)
+
     z_next = None
     for n in range(N - 1, -1, -1):
         live = paths.live_mask(n)
         x_n = states[:, n]
+        cells = partition.cell_index(x_n)
         y_next = y_values[n + 1]
         g_z = g_term(n, live, z_next)
         targets = np.zeros((M, k, d))
         targets[live] = ((y_next[live] + g_z[live])[:, :, None]
                          * noise.forward[n][live, None, :] / grid.h)
-        coef, empty, _ = column_fit(partition.cell_index(x_n), targets.reshape(M, -1), live,
-                                    partition.total_cells)
-        z_fn = CellFunction(partition, coef.reshape(-1, k, d), empty)
+        z_fn = masked_fit(cells, targets, live)
         if live.any():
             z_values[n][live] = z_fn.evaluate(x_n[live])
         base = y_next.copy()
         base[live] += g_term(n, live, z_next)[live]
         if I == 0:
-            y_fn = project(partition, x_n, base)
+            y_fn = masked_fit(cells, base, live)
         else:
             y_prev = np.zeros((M, k))
             prev = np.zeros((partition.total_cells, k))
@@ -389,7 +386,7 @@ def reference_backward(coeffs, grid, paths, noise, partition, mode, I):
                 if live.any():
                     tgt[live] += grid.h * coeffs.eval_f(
                         float(grid.times[n]), x_n[live], y_prev[live], z_values[n][live])
-                y_fn = project(partition, x_n, tgt)
+                y_fn = masked_fit(cells, tgt, live)
                 residuals[n, it] = np.max(np.abs(y_fn.coefficients - prev))
                 prev = y_fn.coefficients
                 y_prev = y_fn.evaluate(x_n)
@@ -499,8 +496,10 @@ def test_out_of_range_counts_reported_per_step():
         outside = np.stack([part.cell_index(sol.paths.states[n]) < 0
                             for n in range(21)])
         live = np.stack([sol.paths.live_mask(n) for n in range(20)])
-        assert np.array_equal(diag.out_of_range_y, outside.sum(axis=1))
-        assert np.array_equal(diag.out_of_range_z, (live & outside[:20]).sum(axis=1))
+        # below step N both fits count the live paths, at N every exit state
+        live_outside = (live & outside[:20]).sum(axis=1)
+        assert np.array_equal(diag.out_of_range_y, np.append(live_outside, outside[20].sum()))
+        assert np.array_equal(diag.out_of_range_z, live_outside)
         assert diag.out_of_range_y.sum() > 0
     assert diag.out_of_range_z.sum() > 0
 
