@@ -73,10 +73,11 @@ def _cmd_run(config: ExperimentConfig, out: Optional[str], args) -> int:
     print("Y0 = " + " ".join(f"{v:.10g}" for v in sol.Y0))
     print("Z0 = " + " ".join(f"{v:.10g}" for v in sol.Z0.ravel()))
     print(f"exit_fraction = {diag.exit_fraction:.10g}")
-    print(f"empty_cells_y = {int(diag.empty_cells_y.sum())}, "
-          f"empty_cells_z = {int(diag.empty_cells_z.sum())}")
-    print(f"out_of_range_y = {int(diag.out_of_range_y.sum())}, "
-          f"out_of_range_z = {int(diag.out_of_range_z.sum())}")
+    # y's totals include the terminal fit, z's stop at step N-1
+    print(f"empty_cells_y = {int(diag.empty_cells.sum())}, "
+          f"empty_cells_z = {int(diag.empty_cells[:-1].sum())}")
+    print(f"out_of_range_y = {int(diag.out_of_range.sum())}, "
+          f"out_of_range_z = {int(diag.out_of_range[:-1].sum())}")
     if diag.picard_residuals.size:
         print("max_picard_residual_by_sweep = " + " ".join(
             f"{v:.3g}" for v in diag.picard_residuals.max(axis=0)))
@@ -97,7 +98,7 @@ def _cmd_rows(make_rows, config: ExperimentConfig, out: Optional[str],
 
 def _cmd_spde_grid(config: ExperimentConfig, out: Optional[str], args) -> int:
     coeffs, grid, domain, partition, scfg = build_problem(config)
-    points, _ = midpoint_lattice(domain, config.spatial_points)
+    points = midpoint_lattice(domain, config.spatial_points)
     reps = 1 if args.reps is None else args.reps
     P = points.shape[0]
     acc_u = np.zeros((grid.N + 1, P))

@@ -470,10 +470,10 @@ def emit_csv(rows: Sequence[Sequence], path: Optional[str] = None) -> None:
 
 
 def dump_diagnostics(solution: BackwardSolution, path: str) -> None:
-    """Per-step Picard residuals and y-fit empty-cell counts as CSV; without
+    """Per-step Picard residuals and fit empty-cell counts as CSV; without
     Picard sweeps, one row per step with sweep 0 and an empty residual."""
     res = solution.diagnostics.picard_residuals
-    empty = solution.diagnostics.empty_cells_y
+    empty = solution.diagnostics.empty_cells
     N, I = res.shape
     rows = ([(n, it + 1, res[n, it], empty[n]) for n in range(N) for it in range(I)]
             or [(n, 0, "", empty[n]) for n in range(N)])

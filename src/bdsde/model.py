@@ -100,9 +100,9 @@ def _shaped(name: str, value, shape: tuple) -> np.ndarray:
 class TimeGrid:
     """Uniform partition t_i = t_0 + i*h, i = 0..N; the horizon is times[N].
 
-    ``build_grid`` sets t_0 = 0 and ``times`` to (i*T)/N, so the right endpoint
-    lands within 1 ulp of T instead of drifting by accumulated rounding, and
-    spacing is uniform to 1 ulp.  A tail grid times[n:] keeps those times.
+    ``build_grid`` sets t_0 = 0, ``times`` to (i*T)/N and times[N] to T
+    exactly, so no time drifts by accumulated rounding and each step is h up
+    to a few ulps of T.  A tail grid times[n:] keeps those times.
     """
 
     h: float
@@ -131,8 +131,9 @@ def build_grid(T: float, N: int) -> TimeGrid:
     if not np.isfinite(T) or T <= 0:
         raise InvalidParameterError(f"horizon T must be positive, got {T!r}")
     N = _whole("step count N", N, 1)
-    times = _frozen((np.arange(N + 1, dtype=np.float64) * float(T)) / N)
-    return TimeGrid(h=float(T) / N, times=times)
+    times = (np.arange(N + 1, dtype=np.float64) * float(T)) / N
+    times[N] = T  # (N*T)/N can miss T by 1 ulp
+    return TimeGrid(h=float(T) / N, times=_frozen(times))
 
 
 # ------------------------------- Domain ----------------------------------- #

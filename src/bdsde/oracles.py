@@ -7,15 +7,14 @@ Three independent consistency routes for the backward solver:
 * an exact algebraic reduction of the doubly stochastic equation to an
   ordinary backward equation when g depends on time only, and
 * the Feynman-Kac evaluation u(t, x) = Y_t started at (t, x), which turns
-  the solver into a field evaluator on a space-time lattice, with a
-  weighted L^2-in-space, sup-in-time error metric.
+  the solver into a field evaluator on a space-time lattice.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import inspect
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "transform_to_bsde",
     "spde_point",
     "midpoint_lattice",
-    "spde_error",
 ]
 
 
@@ -210,12 +208,9 @@ def spde_point(
     return u, v
 
 
-def midpoint_lattice(domain: Domain, count: int = 29) -> tuple:
-    """Midpoint quadrature nodes and weights on an axis-box domain.
-
-    count nodes per dimension at cell centers; weights are the uniform
-    cell volumes, so sum(w f(x)) approximates the integral over the box.
-    """
+def midpoint_lattice(domain: Domain, count: int = 29) -> Array:
+    """Midpoint lattice (P, d) on an axis-box domain: count nodes per
+    dimension at cell centers, P = count**d."""
     if not (np.isfinite(domain.lower).all() and np.isfinite(domain.upper).all()):
         raise InvalidParameterError("a bounded box is needed for the spatial lattice")
     count = _whole("lattice resolution", count, 1)
@@ -224,49 +219,4 @@ def midpoint_lattice(domain: Domain, count: int = 29) -> tuple:
         for lo, hi in zip(domain.lower, domain.upper)
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    cell_volume = float(np.prod((domain.upper - domain.lower) / count))
-    weights = np.full(points.shape[0], cell_volume)
-    return points, weights
-
-
-def spde_error(
-    u_num: Array,
-    v_num: Array,
-    u_ref: Callable[[float, Array], Array],
-    v_ref: Callable[[float, Array], Array],
-    rho: Optional[Callable[[Array], Array]],
-    grid: TimeGrid,
-    points: Array,
-    weights: Optional[Array] = None,
-) -> float:
-    """Sup-in-time weighted spatial error on u plus time-summed error on v.
-
-    u_num has shape (R, N+1, P, k) over R repeated runs (a single run may
-    omit the leading axis), v_num has shape (R, N, P, k, d).  The run axis
-    realizes the expectation over the external noise; rho defaults to 1
-    and weights default to a plain average over the lattice.
-    """
-    points = _shaped("points", points, ("P", "d"))
-    P = points.shape[0]
-    if P == 0:
-        raise InvalidParameterError("spde_error needs at least one lattice point")
-    u_num = _shaped("u values", np.expand_dims(u_num, 0) if np.ndim(u_num) == 3 else u_num,
-                    ("R", grid.N + 1, P, "k"))
-    R, k = u_num.shape[0], u_num.shape[3]
-    v_num = _shaped("v values", np.expand_dims(v_num, 0) if np.ndim(v_num) == 4 else v_num,
-                    (R, grid.N, P, k, points.shape[1]))
-    w = np.full(P, 1.0 / P) if weights is None else _shaped("weights", weights, (P,))
-    rw = w if rho is None else w * _shaped("rho(points)", rho(points), (P,))
-
-    worst_u = 0.0
-    for i in range(grid.N + 1):
-        ref = _shaped("u_ref(t, points)", u_ref(float(grid.times[i]), points), (P, k))
-        gap = np.sum((u_num[:, i] - ref) ** 2, axis=-1)      # (R, P)
-        worst_u = max(worst_u, float(np.mean(gap @ rw)))
-    v_sum = 0.0
-    for n in range(grid.N):
-        ref = _shaped("v_ref(t, points)", v_ref(float(grid.times[n]), points), v_num.shape[2:])
-        gap = np.sum((v_num[:, n] - ref) ** 2, axis=(-2, -1))  # (R, P)
-        v_sum += grid.h * float(np.mean(gap @ rw))
-    return worst_u + v_sum
+    return np.stack([m.ravel() for m in mesh], axis=-1)

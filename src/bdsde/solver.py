@@ -83,10 +83,11 @@ class SolverConfig:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SolverDiagnostics:
-    empty_cells_y: Array       # (N+1,) per-step empty-cell count of the y fit
-    empty_cells_z: Array       # (N,)
-    out_of_range_y: Array      # (N+1,) per-step fit samples outside [d1, d2)
-    out_of_range_z: Array      # (N,)
+    """Per-step counts of the fit plans: entry n < N is step n's one plan,
+    shared by its z- and y-fits; entry N is the terminal fit's."""
+
+    empty_cells: Array         # (N+1,) empty cells of each plan
+    out_of_range: Array        # (N+1,) fit samples outside [d1, d2)
     picard_residuals: Array    # (N, I) sup-norm coefficient moves per iteration
     exit_fraction: float
 
@@ -261,12 +262,10 @@ def backward_induction(
         except BdsdeError as err:
             raise type(err)(f"backward step n={n}: {err}") from err
 
-    # empty_cells_y, empty_cells_z, out_of_range_y, out_of_range_z
-    per_step = [_frozen(np.array([getattr(fn, attr) for fn in funcs]))
-                for attr in ("empty_cells", "out_of_range_samples")
-                for funcs in (y_funcs, z_funcs)]
     diagnostics = SolverDiagnostics(
-        *per_step, picard_residuals=_frozen(residuals),
+        empty_cells=_frozen(np.array([fn.empty_cells for fn in y_funcs])),
+        out_of_range=_frozen(np.array([fn.out_of_range_samples for fn in y_funcs])),
+        picard_residuals=_frozen(residuals),
         exit_fraction=float(paths.exit_detected.mean()),
     )
     return BackwardSolution(

@@ -44,11 +44,13 @@ def test_run_prints_solution(tmp_path, capsys):
     coeffs, grid, domain, partition, scfg = build_problem(config)
     noise = sample_noise(config.seed, config.M, grid, coeffs.d, coeffs.l)
     diag = solve(coeffs, grid, domain, noise, [config.x0], partition, scfg).diagnostics
-    assert diag.out_of_range_y.sum() > 0
+    assert diag.out_of_range.sum() > 0
     assert main(["run", "--config", cfg]) == 0
-    assert (f"empty_cells_z = {diag.empty_cells_z.sum()}\n"
-            f"out_of_range_y = {diag.out_of_range_y.sum()}, "
-            f"out_of_range_z = {diag.out_of_range_z.sum()}\n") in capsys.readouterr().out
+    # y's totals include the terminal fit, z's stop at step N-1
+    assert (f"empty_cells_y = {diag.empty_cells.sum()}, "
+            f"empty_cells_z = {diag.empty_cells[:-1].sum()}\n"
+            f"out_of_range_y = {diag.out_of_range.sum()}, "
+            f"out_of_range_z = {diag.out_of_range[:-1].sum()}\n") in capsys.readouterr().out
 
 
 def test_run_seed_override_changes_the_answer(tmp_path, capsys):
@@ -76,14 +78,14 @@ def test_run_reps_and_diagnostics_out(tmp_path, capsys):
 
 
 def test_run_out_without_picard_sweeps_writes_one_row_per_step(tmp_path, capsys):
-    # with I = 0 there is no residual, but the y-fit empty-cell counts of
+    # with I = 0 there is no residual, but the fit empty-cell counts of
     # every step are still written, as sweep 0 with an empty residual
     cfg = small_config(tmp_path, I=0, domain_lower=90.0, domain_upper=110.0)
     config = load_config(cfg)
     coeffs, grid, domain, partition, scfg = build_problem(config)
     noise = sample_noise(config.seed, config.M, grid, coeffs.d, coeffs.l)
     empty = solve(coeffs, grid, domain, noise, [config.x0], partition,
-                  scfg).diagnostics.empty_cells_y
+                  scfg).diagnostics.empty_cells
     diag = tmp_path / "diag.csv"
     assert main(["run", "--config", cfg, "--out", str(diag)]) == 0
     assert diag.read_text().splitlines() == (

@@ -28,7 +28,6 @@ from bdsde import (
     sample_noise,
     simulate_stopped,
     solve,
-    spde_error,
     spde_point,
     strong_error,
     transform_to_bsde,
@@ -52,6 +51,15 @@ def test_grid_single_step_and_refinement():
     g2 = build_grid(0.25, 40)
     assert g2.h == pytest.approx(0.00625)
     assert g2.times[40] == 0.25
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=st.floats(1e-6, 1e6), N=st.integers(1, 5000))
+@example(T=0.1, N=3)  # (3 * 0.1) / 3 is 1 ulp above 0.1
+def test_grid_ends_exactly_at_T(T, N):
+    g = build_grid(T, N)
+    assert g.times[0] == 0.0 and g.times[N] == T
+    assert g.index_of(T) == N and np.all(np.diff(g.times) > 0)
 
 
 def test_grid_rejects_bad_parameters():
@@ -507,7 +515,7 @@ _COUNT_SITES = {
     "Domain.whole_space d": (1, lambda v: Domain.whole_space(v).d),
     "SolverConfig picard_iterations":
         (0, lambda v: SolverConfig("bsde", picard_iterations=v).picard_iterations),
-    "midpoint_lattice count": (1, lambda v: len(midpoint_lattice(Domain.box([0.0], [1.0]), v)[1])),
+    "midpoint_lattice count": (1, lambda v: len(midpoint_lattice(Domain.box([0.0], [1.0]), v))),
 }
 
 
@@ -523,7 +531,7 @@ def test_every_count_argument_is_a_whole_number(site):
 
 # ------------------------------ array shapes -------------------------------- #
 
-# one small problem on [60, 200): 8 paths, 4 steps, a 3-point lattice
+# one small problem on [60, 200): 8 paths, 4 steps
 _BOX = ([60.0], [200.0])
 
 
@@ -537,15 +545,6 @@ def _strong_error(**refs):
                 build_partition(*_BOX, 20.0), SolverConfig("bsde"))
     return strong_error(sol, **{"reference_y": lambda t, x: np.zeros((len(x), 1)),
                                 "reference_z": lambda t, x: np.zeros((len(x), 1, 1)), **refs})
-
-
-def _spde_error(**swap):
-    points, weights = midpoint_lattice(Domain.box(*_BOX), 3)
-    return spde_error(**{"u_num": np.zeros((5, 3, 1)), "v_num": np.zeros((4, 3, 1, 1)),
-                         "u_ref": lambda t, x: np.zeros((3, 1)),
-                         "v_ref": lambda t, x: np.zeros((3, 1, 1)), "rho": None,
-                         "grid": build_grid(0.25, 4), "points": points, "weights": weights,
-                         **swap})
 
 
 def _spde_point(points=((100.0,),), wpath=np.zeros((4, 1))):
@@ -599,21 +598,6 @@ _SHAPE_SITES = {
                           "points must have shape (P, 1), got (1,)"),
     "spde_point W": (lambda: _spde_point(wpath=np.zeros(4)),
                      "backward path W must have shape (4, 1), got (4,)"),
-    "spde_error points": (lambda: _spde_error(points=np.zeros(3)),
-                          "points must have shape (P, d), got (3,)"),
-    "spde_error u values": (lambda: _spde_error(u_num=np.zeros((4, 3, 1))),
-                            "u values must have shape (R, 5, 3, k), got (1, 4, 3, 1)"),
-    "spde_error v values": (lambda: _spde_error(v_num=np.zeros((3, 3, 1, 1))),
-                            "v values must have shape (1, 4, 3, 1, 1), got (1, 3, 3, 1, 1)"),
-    "spde_error weights": (lambda: _spde_error(weights=np.ones(2)),
-                           "weights must have shape (3,), got (2,)"),
-    # a reference map's output that would broadcast into a wrong error
-    "spde_error u_ref": (lambda: _spde_error(u_ref=lambda t, x: np.zeros(3)),
-                         "u_ref(t, points) must have shape (3, 1), got (3,)"),
-    "spde_error v_ref": (lambda: _spde_error(v_ref=lambda t, x: np.zeros((3, 1))),
-                         "v_ref(t, points) must have shape (3, 1, 1), got (3, 1)"),
-    "spde_error rho": (lambda: _spde_error(rho=lambda x: np.ones((3, 1))),
-                       "rho(points) must have shape (3,), got (3, 1)"),
     "strong_error reference_y": (lambda: _strong_error(reference_y=lambda t, x: np.zeros(len(x))),
                                  "reference_y(t, x) must have shape (8, 1), got (8,)"),
     "strong_error reference_z": (lambda: _strong_error(reference_z=lambda t, x: np.zeros((len(x), 1))),

@@ -6,7 +6,7 @@ import tracemalloc
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from bdsde import (
     MODES,
@@ -433,8 +433,10 @@ def assert_matches_reference(coeffs, grid, domain, noise, x0, partition, mode, I
         with pytest.raises(InvalidParameterError, match="step index"):
             sol.y_at(bad)
     assert np.array_equal(sol.diagnostics.picard_residuals, ref["residuals"])
-    assert np.array_equal(sol.diagnostics.empty_cells_y, ref["empty_y"])
-    assert np.array_equal(sol.diagnostics.empty_cells_z, ref["empty_z"])
+    # the reference fits z and y separately; the solver's one plan per step
+    # holds the counts of both
+    assert np.array_equal(sol.diagnostics.empty_cells, ref["empty_y"])
+    assert np.array_equal(sol.diagnostics.empty_cells[:-1], ref["empty_z"])
     return sol
 
 
@@ -496,12 +498,34 @@ def test_out_of_range_counts_reported_per_step():
         outside = np.stack([part.cell_index(sol.paths.states[n]) < 0
                             for n in range(21)])
         live = np.stack([sol.paths.live_mask(n) for n in range(20)])
-        # below step N both fits count the live paths, at N every exit state
+        # below step N the step's plan counts the live paths, at N every exit state
         live_outside = (live & outside[:20]).sum(axis=1)
-        assert np.array_equal(diag.out_of_range_y, np.append(live_outside, outside[20].sum()))
-        assert np.array_equal(diag.out_of_range_z, live_outside)
-        assert diag.out_of_range_y.sum() > 0
-    assert diag.out_of_range_z.sum() > 0
+        assert np.array_equal(diag.out_of_range, np.append(live_outside, outside[20].sum()))
+    assert diag.out_of_range[:-1].sum() > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.integers(88, 98), hi=st.integers(102, 112), pad=st.integers(-1, 4),
+       delta=st.sampled_from([0.5, 1.0, 2.5]), N=st.integers(1, 12), M=st.integers(16, 300),
+       I=st.sampled_from([0, 3]), seed=st.integers(0, 2 ** 32))
+def test_fit_counts_are_those_of_each_steps_live_rows(lo, hi, pad, delta, N, M, I, seed):
+    # a basis wider or narrower than the box: empty cells and out-of-range rows
+    g = build_grid(0.25, N)
+    part = build_partition([lo - pad], [hi + pad], delta)
+    sol = solve(reference_coeffs(g=g_linear), g, Domain.box([lo], [hi]),
+                sample_noise(seed, M, g, 1, 1), [100.0], part,
+                SolverConfig(mode="bdsde-random-terminal", picard_iterations=I))
+    diag, paths = sol.diagnostics, sol.paths
+    assume(paths.exit_detected.any())
+
+    def counts(cells):
+        inside = cells[cells >= 0]
+        return part.total_cells - np.unique(inside).size, cells.size - inside.size
+
+    want = [counts(part.cell_index(paths.at(n))[paths.live_mask(n)]) for n in range(N)]
+    want.append(counts(part.cell_index(paths.exit_state)))
+    assert diag.empty_cells.shape == diag.out_of_range.shape == (N + 1,)
+    assert list(zip(diag.empty_cells.tolist(), diag.out_of_range.tolist())) == want
 
 
 # ------------------------------ whole recursion ---------------------------- #
@@ -737,6 +761,6 @@ def test_dump_diagnostics_format(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "n,picard_iter,residual,empty_cells"
     res = sol.diagnostics.picard_residuals
-    empty = sol.diagnostics.empty_cells_y
+    empty = sol.diagnostics.empty_cells
     assert lines[1:] == [f"{n},{it + 1},{res[n, it]:.10g},{empty[n]}"
                          for n in range(2) for it in range(2)]
