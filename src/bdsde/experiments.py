@@ -51,7 +51,7 @@ __all__ = [
     "run_table",
 ]
 
-G_CHOICES = ("none", "g1", "g2", "g3", "custom")
+G_CHOICES = ("none", "g1", "g2", "g3")
 TABLE_M_GRID = (128, 512, 2048, 8192, 32768)
 
 SWEEP_BASIS = (40.0, 180.0)
@@ -97,10 +97,7 @@ def make_g(choice: str) -> Optional[Callable[..., np.ndarray]]:
         def g(t, x, y, z):
             return (np.log(x) + 0.5 * y)[:, :, None]
     else:
-        raise InvalidParameterError(
-            f"g choice {choice!r} has no preset; pass a coefficient set "
-            "override to build_problem or repeat_runs for custom couplings"
-        )
+        raise InvalidParameterError(f"g choice {choice!r} has no preset")
     return g
 
 
@@ -233,8 +230,6 @@ def load_config(path: str) -> ExperimentConfig:
     """Read and validate a flat JSON experiment description.
 
     Every constraint failure is a ConfigError naming the offending field.
-    ``g_choice: custom`` is rejected here because a config file cannot carry
-    code; custom couplings go through repeat_runs' coefficient override.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -255,43 +250,29 @@ def load_config(path: str) -> ExperimentConfig:
                if f.default is dataclasses.MISSING and f.name not in raw]
     if missing:
         raise ConfigError(f"missing required config key: {missing[0]}")
-    if raw.get("g_choice") == "custom":
-        raise ConfigError(
-            "g_choice 'custom' cannot be expressed in a config file; use the "
-            "repeat_runs coefficient override instead"
-        )
     return ExperimentConfig(**raw)
 
 
 def build_problem(
     config: ExperimentConfig,
-    coeffs: Optional[CoefficientSet] = None,
 ) -> Tuple[CoefficientSet, TimeGrid, Domain, HypercubePartition, SolverConfig]:
-    """Assemble the solver inputs described by a config.
-
-    An explicit coefficient set replaces the presets wholesale (custom g,
-    degenerate diffusions); the grid, domain, basis and solver settings still
-    come from the config, the domain and basis as d-cubes of the override's
-    dimension d.
-    """
-    if coeffs is None:
-        mu, sc, K = config.mu, config.sigma_coef, config.K
-        coeffs = CoefficientSet(
-            d=1, k=1, l=1,
-            b=lambda x: mu * x,
-            sigma=lambda x: sc * x[..., None],
-            f=make_driver(config.mu, config.sigma_coef, config.r, config.R),
-            phi=lambda t, x: K - x,
-            g=make_g(config.g_choice),
-        )
-    elif not isinstance(coeffs, CoefficientSet):
-        raise InvalidParameterError("coeffs override must be a CoefficientSet")
+    """Assemble the solver inputs of the bundled d = 1 model described by a
+    config: GBM drift and diffusion, the driver and coupling presets, and
+    the payoff K - x on the config's domain and basis."""
+    mu, sc, K = config.mu, config.sigma_coef, config.K
+    coeffs = CoefficientSet(
+        d=1, k=1, l=1,
+        b=lambda x: mu * x,
+        sigma=lambda x: sc * x[..., None],
+        f=make_driver(mu, sc, config.r, config.R),
+        phi=lambda t, x: K - x,
+        g=make_g(config.g_choice),
+    )
     grid = build_grid(config.T, config.N)
-    d = coeffs.d
-    domain = Domain.box([config.domain_lower] * d, [config.domain_upper] * d)
+    domain = Domain.box([config.domain_lower], [config.domain_upper])
     lo = config.domain_lower if config.basis_lower is None else config.basis_lower
     hi = config.domain_upper if config.basis_upper is None else config.basis_upper
-    partition = build_partition([lo] * d, [hi] * d, config.delta)
+    partition = build_partition([lo], [hi], config.delta)
     solver_config = SolverConfig(mode=config.mode, picard_iterations=config.I)
     return coeffs, grid, domain, partition, solver_config
 
@@ -316,8 +297,8 @@ class RunStats:
 def _solve_seed(config: ExperimentConfig, problem: tuple, seed: int) -> BackwardSolution:
     """Solve ``build_problem``'s output for ``config`` on the noise of ``seed``."""
     coeffs, grid, domain, partition, scfg = problem
-    noise = sample_noise(seed, config.M, grid, coeffs.d, coeffs.l)
-    return solve(coeffs, grid, domain, noise, [config.x0] * coeffs.d, partition,
+    noise = sample_noise(seed, config.M, grid, 1, 1)
+    return solve(coeffs, grid, domain, noise, [config.x0], partition,
                  scfg, shift_enabled=config.shift_enabled)
 
 
@@ -361,7 +342,6 @@ def repeat_runs(
     R_runs: Optional[int] = None,
     *,
     threads: int = 1,
-    coeffs: Optional[CoefficientSet] = None,
 ) -> RunStats:
     """Repeat the configured solve over derived seeds and summarize Y0.
 
@@ -371,7 +351,7 @@ def repeat_runs(
     """
     if R_runs is not None:
         config = dataclasses.replace(config, R_runs=R_runs)
-    return _run_set(config, threads, build_problem(config, coeffs), (0,))[0]
+    return _run_set(config, threads, build_problem(config), (0,))[0]
 
 
 # ------------------------------ table and sweep ---------------------------- #

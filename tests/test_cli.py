@@ -202,6 +202,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "config error: cannot write" in capsys.readouterr().err
 
 
+def test_custom_g_choice_fails_its_rule(tmp_path, capsys):
+    # a coupling without a preset is refused by the g_choice rule itself
+    assert main(["run", "--config", small_config(tmp_path, g_choice="custom")]) == 2
+    captured = capsys.readouterr()
+    assert "g_choice must be one of" in captured.err and captured.out == ""
+
+
 def test_reps_below_two_is_a_config_error(tmp_path, capsys):
     # run, table and converge take --reps as R_runs, refused by the config
     cfg = small_config(tmp_path)

@@ -140,6 +140,7 @@ def test_defaults_fill_in(tmp_path):
     ("x0", 59.0, "x0"),
     ("domain_upper", 50.0, "domain_lower"),
     ("g_choice", "g9", "g_choice"),
+    ("g_choice", "custom", "g_choice must be one of"),
     ("mode", "forward", "mode"),
     ("R_runs", 1, "R_runs"),
     ("seed", -1, "seed"),
@@ -255,12 +256,6 @@ def test_parse_error_reports_line(tmp_path):
         load_config(str(arr))
 
 
-def test_custom_g_rejected_in_files(tmp_path):
-    path = write_config(tmp_path / "c.json", g_choice="custom")
-    with pytest.raises(ConfigError, match="override"):
-        load_config(path)
-
-
 def test_mode_requires_g():
     with pytest.raises(ConfigError, match="g"):
         ExperimentConfig(**base_kwargs(g_choice="none"))
@@ -286,34 +281,6 @@ def test_build_problem_wires_the_config():
     assert domain.lower[0] == 60.0 and domain.upper[0] == 200.0
     assert partition.d1[0] == 60.0 and scfg.mode == cfg.mode
     assert scfg.picard_iterations == 3
-    with pytest.raises(InvalidParameterError, match="custom"):
-        build_problem(dataclasses.replace(cfg, g_choice="custom"))
-    with pytest.raises(InvalidParameterError, match="CoefficientSet"):
-        build_problem(cfg, coeffs=object())
-
-
-def test_override_of_dimension_d_gets_a_d_cube():
-    cfg = ExperimentConfig(**base_kwargs(domain_lower=90.0, domain_upper=110.0,
-                                         N=10, M=2000))
-    planar = CoefficientSet(
-        d=2, k=1, l=1,
-        b=lambda x: np.zeros_like(x),
-        sigma=lambda x: 20.0 * np.broadcast_to(np.eye(2), x.shape + (2,)),
-        f=lambda t, x, y, z: np.zeros_like(y),
-        phi=lambda t, x: x[:, :1],
-        g=lambda t, x, y, z: np.zeros(y.shape + (1,)),
-    )
-    problem = build_problem(cfg, planar)
-    domain, partition = problem[2], problem[3]
-    assert domain.lower.tolist() == [90.0, 90.0]
-    assert domain.upper.tolist() == [110.0, 110.0]
-    assert partition.d1.tolist() == [90.0, 90.0]
-    paths = experiments._solve_seed(cfg, problem, cfg.seed).paths
-    # every state before a path's exit lies inside the box on both axes
-    for n in range(cfg.N):
-        x = paths.states[n, paths.live_mask(n)]
-        assert ((x > 90.0) & (x < 110.0)).all()
-    assert paths.exit_detected.mean() > 0.5
 
 
 def test_no_solve_builds_the_state_grid(monkeypatch):
@@ -367,7 +334,8 @@ def test_repeat_runs_requires_two():
 
 def test_repeat_runs_degenerate_coefficients_are_exact():
     cfg = ExperimentConfig(**base_kwargs(g_choice="none", mode="bsde"))
-    stats = repeat_runs(cfg, 3, coeffs=constant_solution_coeffs(2.5))
+    problem = (constant_solution_coeffs(2.5),) + build_problem(cfg)[1:]
+    stats = experiments._run_set(cfg, 1, problem, (0,))[0]
     assert stats.values == (2.5, 2.5, 2.5)
     assert stats.mean == 2.5 and stats.std == 0.0 and len(stats.values) == 3
 

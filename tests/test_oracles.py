@@ -1,9 +1,11 @@
-"""Closed-form oracle, plain-BSDE reduction and field evaluation."""
+"""Closed-form oracle, pathwise PDE judge, plain-BSDE reduction and field
+evaluation."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from bdsde import (
     MODES,
@@ -18,6 +20,7 @@ from bdsde import (
     build_grid,
     build_partition,
     forward_contract_oracle,
+    make_g,
     midpoint_lattice,
     sample_noise,
     solve,
@@ -293,6 +296,82 @@ def test_fixed_horizon_regression_error_against_the_discrete_product():
           + "/".join(f"{r:.3f}" for r in rms))
     assert rms[0] > rms[1] > rms[2]
     assert rms[2] < 0.075
+
+
+# A pathwise judge for couplings that read x, y and z: Y_t = u(t, X_t), where
+# u solves the backward SPDE on the realized W with Dirichlet data phi at
+# the faces (Pardoux & Peng, PTRF 98, 1994).  In d = 1 it is solved by
+# implicit finite differences on the solve's own backward increments, the
+# scheme's y_n = E_n[y_{n+1} + g_{n+1} dW_n + h f_n] with a tridiagonal
+# diffusion solve in place of the regression.
+
+def fd_field(coeffs, grid, lower, upper, W, J=1000):
+    """Nodes x (J+1,) and u (N+1, J+1) of the d = 1 SPDE on [lower, upper]
+    driven by the backward increments W (N, 1): per step
+    v = u^{n+1} + g(t_{n+1}, x, u^{n+1}, sigma u_x^{n+1}) dW_n, then
+    three Picard sweeps of (I - h L) u^n = v + h f(t_n, x, u^n, sigma u_x^n)
+    with L = sigma^2/2 d_xx + b d_x in central differences."""
+    x = np.linspace(lower, upper, J + 1)
+    col, dx = x[:, None], x[1] - x[0]
+    sig = coeffs.sigma(col)[:, 0, 0]
+    a, b = (0.5 * sig ** 2 / dx ** 2)[1:-1], (coeffs.b(col)[:, 0] / (2.0 * dx))[1:-1]
+
+    def z(un):
+        return (sig * np.gradient(un, dx))[:, None, None]
+
+    u = np.empty((grid.N + 1, J + 1))
+    u[-1] = coeffs.phi(grid.times[-1], col)[:, 0]
+    for n in range(grid.N - 1, -1, -1):
+        t, t_next = grid.times[n], grid.times[n + 1]
+        h = t_next - t
+        # banded I - h L: identity rows at the faces hold the Dirichlet data
+        ab = np.zeros((3, J + 1))
+        ab[0, 2:], ab[1], ab[2, :-2] = -h * (a + b), 1.0, -h * (a - b)
+        ab[1, 1:-1] += 2.0 * h * a
+        g = coeffs.g(t_next, col, u[n + 1][:, None], z(u[n + 1]))[:, 0, 0]
+        v = u[n + 1] + g * W[n, 0]
+        faces = coeffs.phi(t, col[[0, -1]])[:, 0]
+        un = u[n + 1]
+        for _ in range(3):
+            rhs = v + h * coeffs.f(t, col, un[:, None], z(un))[:, 0]
+            rhs[[0, -1]] = faces
+            un = solve_banded((1, 1), ab, rhs)
+        u[n] = un
+    return x, u
+
+
+def fd_gaps(seeds):
+    """Y0 - u_FD(0, 100) of the reference model with g1, one solve per seed
+    on the box and basis (90, 110): M = 4096, N = 20, delta = 1, I = 3,
+    shift on, FD on J + 1 = 1001 nodes; once with FD driven by the solve's
+    W and once by W shifted one step, ``np.roll(W, 1, axis=0)``."""
+    grid = build_grid(0.25, 20)
+    dom, part = Domain.box([90.0], [110.0]), build_partition([90.0], [110.0], 1.0)
+    c = reference_coeffs(make_g("g1"))
+    gaps = []
+    for seed in seeds:
+        noise = sample_noise(seed, 4096, grid, 1, 1)
+        y0 = solve(c, grid, dom, noise, [100.0], part,
+                   SolverConfig(mode="bdsde-random-terminal")).Y0[0]
+        for W in (noise.backward, np.roll(noise.backward, 1, axis=0)):
+            x, u = fd_field(c, grid, 90.0, 110.0, W)
+            gaps.append(y0 - np.interp(100.0, x, u[0]))
+    return np.array(gaps).reshape(-1, 2).T
+
+
+def test_pathwise_pde_judge_of_g1_with_exits():
+    # seeds 1-64 (about 1.6 s), 64% of paths exit.  Over 16 disjoint
+    # 64-seed sets (seeds 1-1024) the rms of Y0 - u_FD read 0.189-0.296
+    # and the largest gap 0.549-0.818, while FD driven by W shifted one step
+    # gave 2.19-3.52 times that rms; the bound 0.35 lies 1.18 times above
+    # the worst set and the ratio 1.8 at 0.82 of the smallest.  u_FD(0, 100)
+    # moves by under 1e-5 from J = 1000 to 4000 or from 3 sweeps to 6
+    gaps, shifted = fd_gaps(range(1, 65))
+    rms, rms_shifted = np.sqrt(np.mean(gaps ** 2)), np.sqrt(np.mean(shifted ** 2))
+    print(f"Y0 - u_FD: mean {gaps.mean():+.3f}, rms {rms:.3f}, "
+          f"max {np.abs(gaps).max():.3f}; against W shifted one step: rms {rms_shifted:.3f}")
+    assert rms < 0.35
+    assert rms_shifted > 1.8 * rms
 
 
 def test_spde_point_near_the_boundary_matches_closed_form():
