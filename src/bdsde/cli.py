@@ -6,6 +6,8 @@ import argparse
 import dataclasses
 import functools
 import os
+import pickle
+import signal
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -100,17 +102,24 @@ def _cmd_spde_grid(config: ExperimentConfig, out: Optional[str], args) -> int:
     coeffs, grid, domain, partition, scfg = build_problem(config)
     points = midpoint_lattice(domain, config.spatial_points)
     reps = 1 if args.reps is None else args.reps
+    seeds = derived_seeds(config, reps)
     P = points.shape[0]
     acc_u = np.zeros((grid.N + 1, P))
     acc_v = np.zeros((grid.N + 1, P))
-    for seed in derived_seeds(config, reps):
-        wpath = sample_noise(seed, 1, grid, coeffs.d, coeffs.l).backward
-        for n, t_n in enumerate(grid.times):
-            u, v = spde_point(coeffs, grid, domain, wpath, float(t_n), points,
-                              config.M, partition, scfg, seed=seed,
-                              shift_enabled=config.shift_enabled)
-            acc_u[n] += u[:, 0]
-            acc_v[n] += v[:, 0, 0]
+
+    def sum_rows(share: range) -> None:
+        # each row's sum over the seeds is formed in seed order in one process
+        for seed in seeds:
+            wpath = sample_noise(seed, 1, grid, coeffs.d, coeffs.l).backward
+            for n in share:
+                u, v = spde_point(coeffs, grid, domain, wpath,
+                                  float(grid.times[n]), points, config.M,
+                                  partition, scfg, seed=seed,
+                                  shift_enabled=config.shift_enabled)
+                acc_u[n] += u[:, 0]
+                acc_v[n] += v[:, 0, 0]
+
+    _on_row_shares(sum_rows, grid.N + 1, acc_u, acc_v)
     rows: List[Tuple] = [("t", "x", "u", "v")]
     for n in range(grid.N + 1):
         for p in range(P):
@@ -118,6 +127,74 @@ def _cmd_spde_grid(config: ExperimentConfig, out: Optional[str], args) -> int:
                          acc_u[n, p] / reps, acc_v[n, p] / reps))
     emit_csv(rows, out)
     return 0
+
+
+def _on_row_shares(sum_rows, rows: int, *accs: np.ndarray) -> None:
+    """sum_rows(share) over the interleaved shares range(j, rows, w) of the
+    rows, w = min(CPUs, rows): share 0 in this process, every other share in
+    a forked child that pipes its rows of ``accs`` back.  The parent's own
+    exception comes first, then the children's in share order; every child
+    is reaped before this returns or raises."""
+    w = min(os.cpu_count() or 1, rows)
+    shares = [range(j, rows, w) for j in range(w)]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children: List[Tuple[int, int]] = []
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(sum_rows, share, accs))
+        sum_rows(shares[0])
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)    # their rows are not needed
+        raise
+    finally:
+        sent = [_reap(pid, fd) for pid, fd in children]
+    for share, data in zip(shares[1:], sent):
+        if not data:
+            raise BdsdeError(f"the worker of field rows {list(share)} "
+                             "ended without a result")
+        err, *parts = pickle.loads(data)
+        if err is not None:
+            raise err
+        for acc, part in zip(accs, parts):
+            acc[share] = part
+
+
+def _fork_share(sum_rows, share: range, accs) -> Tuple[int, int]:
+    """(pid, read end of its pipe) of a child that runs sum_rows(share),
+    pickles (None, *its rows of accs) or (exception,) into the pipe and
+    exits 0."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1                                # the child never returns
+    try:
+        os.close(read_fd)
+        try:
+            sum_rows(share)
+            result: tuple = (None, *(acc[share] for acc in accs))
+        except BaseException as err:        # raised again in the parent
+            result = (err,)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(result, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, fd: int) -> bytes:
+    """All that child pid wrote to pipe fd, or b"" unless it exited 0."""
+    with os.fdopen(fd, "rb") as pipe:
+        data = pipe.read()
+    return data if os.waitpid(pid, 0)[1] == 0 else b""
 
 
 _DISPATCH = {

@@ -187,6 +187,73 @@ def test_spde_grid_export(tmp_path):
     assert float(u) == pytest.approx(115.0 - float(x))
 
 
+SMALL = str(Path(__file__).resolve().parent / "golden" / "small.json")
+
+
+def no_fork():
+    raise AssertionError("os.fork called")
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_spde_grid_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    # small.json has 7 time rows, so every count below forks at most 2 children
+    csv = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(bdsde.cli.os, "cpu_count", lambda: cpus)
+        if cpus == 1:
+            monkeypatch.setattr(bdsde.cli.os, "fork", no_fork)
+        out = tmp_path / f"grid{cpus}.csv"
+        assert main(["spde-grid", "--config", SMALL, "--reps", "2",
+                     "--out", str(out)]) == 0
+        monkeypatch.undo()
+        no_children_left()
+        csv[cpus] = out.read_bytes()
+    assert csv[1] == csv[2] == csv[3]
+
+
+@pytest.mark.parametrize("bad_row", [3, 4])     # a child's share, the parent's
+def test_spde_grid_row_error_exits_3_and_reaps(capfd, monkeypatch, bad_row):
+    real = bdsde.cli.spde_point
+
+    def failing(coeffs, grid, domain, wpath, t_n, *args, **kwargs):
+        if t_n == grid.times[bad_row]:
+            raise bdsde.EvaluationError(f"injected failure at row {bad_row}")
+        return real(coeffs, grid, domain, wpath, t_n, *args, **kwargs)
+
+    monkeypatch.setattr(bdsde.cli, "spde_point", failing)
+    monkeypatch.setattr(bdsde.cli.os, "cpu_count", lambda: 2)
+    print("before the field")
+    assert main(["spde-grid", "--config", SMALL, "--reps", "2"]) == 3
+    no_children_left()
+    captured = capfd.readouterr()
+    assert captured.out == "before the field\n"
+    assert captured.err == f"error: injected failure at row {bad_row}\n"
+
+
+def test_spde_grid_worker_without_a_result_is_an_error(capfd, monkeypatch):
+    # the child's share ends with exit status 0 but sends no rows
+    parent = os.getpid()
+    real = bdsde.cli.spde_point
+
+    def vanishing(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(0)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bdsde.cli, "spde_point", vanishing)
+    monkeypatch.setattr(bdsde.cli.os, "cpu_count", lambda: 2)
+    assert main(["spde-grid", "--config", SMALL]) == 3
+    no_children_left()
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the worker of field rows [1, 3, 5] "
+                            "ended without a result\n")
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"mu": 0.05}')
@@ -227,15 +294,19 @@ def test_seed_out_of_range_exits_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_seed_plus_repetitions_overflow_exits_2(tmp_path, capsys):
+def test_seed_plus_repetitions_overflow_exits_2(tmp_path, capsys, monkeypatch):
     cfg = small_config(tmp_path, N=4, seed=2 ** 64 - 1)
     assert main(["table", "--config", cfg, "--reps", "2"]) == 2
     assert "2**64" in capsys.readouterr().err
     assert main(["run", "--config", cfg, "--reps", "2"]) == 2
     captured = capsys.readouterr()
     assert "2**64" in captured.err and captured.out == ""
+    # spde-grid refuses the seeds before it forks its row shares
+    monkeypatch.setattr(bdsde.cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bdsde.cli.os, "fork", no_fork)
     assert main(["spde-grid", "--config", cfg, "--reps", "2"]) == 2
     assert "2**64" in capsys.readouterr().err
+    monkeypatch.undo()
     # one repetition at the largest seed is fine
     last = small_config(tmp_path, N=2, M=16, seed=2 ** 64 - 1, spatial_points=1)
     assert main(["spde-grid", "--config", last]) == 0
@@ -262,7 +333,7 @@ def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", small_config(tmp_path), "--threads", "0"])
     assert exc.value.code == 2
-    # the field lattice runs serially; spde-grid has no thread flag
+    # spde-grid shares its rows over the CPUs and has no thread flag
     with pytest.raises(SystemExit) as exc:
         main(["spde-grid", "--config", small_config(tmp_path), "--threads", "2"])
     assert exc.value.code == 2
