@@ -5,10 +5,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import multiprocessing
 import os
-import pickle
-import signal
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,97 +105,68 @@ def _cmd_spde_grid(config: ExperimentConfig, out: Optional[str], args) -> int:
     reps = 1 if args.reps is None else args.reps
     seeds = derived_seeds(config, reps)
     P = points.shape[0]
-    acc_u = np.zeros((grid.N + 1, P))
-    acc_v = np.zeros((grid.N + 1, P))
 
-    def sum_rows(share: range) -> None:
+    def sum_rows(share: range) -> np.ndarray:
         # each row's sum over the seeds is formed in seed order in one process
+        acc = np.zeros((len(share), P, 2))
         for seed in seeds:
             wpath = sample_noise(seed, 1, grid, coeffs.d, coeffs.l).backward
-            for n in share:
+            for i, n in enumerate(share):
                 u, v = spde_point(coeffs, grid, domain, wpath,
                                   float(grid.times[n]), points, config.M,
                                   partition, scfg, seed=seed,
                                   shift_enabled=config.shift_enabled)
-                acc_u[n] += u[:, 0]
-                acc_v[n] += v[:, 0, 0]
+                acc[i, :, 0] += u[:, 0]
+                acc[i, :, 1] += v[:, 0, 0]
+        return acc
 
-    _on_row_shares(sum_rows, grid.N + 1, acc_u, acc_v)
+    field = np.zeros((grid.N + 1, P, 2))
+    for share, sums in _on_row_shares(sum_rows, grid.N + 1):
+        field[share] = sums
     rows: List[Tuple] = [("t", "x", "u", "v")]
     for n in range(grid.N + 1):
         for p in range(P):
             rows.append((float(grid.times[n]), float(points[p, 0]),
-                         acc_u[n, p] / reps, acc_v[n, p] / reps))
+                         field[n, p, 0] / reps, field[n, p, 1] / reps))
     emit_csv(rows, out)
     return 0
 
 
-def _on_row_shares(sum_rows, rows: int, *accs: np.ndarray) -> None:
-    """sum_rows(share) over the interleaved shares range(j, rows, w) of the
-    rows, w = min(CPUs, rows): share 0 in this process, every other share in
-    a forked child that pipes its rows of ``accs`` back.  The parent's own
-    exception comes first, then the children's in share order; every child
-    is reaped before this returns or raises."""
+def _on_row_shares(sum_rows, rows: int) -> List[Tuple[range, np.ndarray]]:
+    """(share, sum_rows(share)) over the interleaved shares range(j, rows, w)
+    of the rows, w = min(CPUs, rows).  Share 0 runs in this process; the
+    others run on a fork-context pool of w - 1 workers, which inherit
+    sum_rows instead of unpickling it.  This process's own error comes
+    first, then a worker's, raised again with its type, in share order; on
+    an error the shares that are running are waited for, and no worker
+    outlives the call."""
     w = min(os.cpu_count() or 1, rows)
     shares = [range(j, rows, w) for j in range(w)]
-    sys.stdout.flush()
+    if w == 1:
+        return [(shares[0], sum_rows(shares[0]))]
+    sys.stdout.flush()      # a forked worker flushes what it inherited
     sys.stderr.flush()
-    children: List[Tuple[int, int]] = []
-    try:
-        for share in shares[1:]:
-            children.append(_fork_share(sum_rows, share, accs))
-        sum_rows(shares[0])
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)    # their rows are not needed
-        raise
-    finally:
-        sent = [_reap(pid, fd) for pid, fd in children]
-    for share, data in zip(shares[1:], sent):
-        if not data:
-            raise BdsdeError(f"the worker of field rows {list(share)} "
-                             "ended without a result")
-        err, *parts = pickle.loads(data)
-        if err is not None:
-            raise err
-        for acc, part in zip(accs, parts):
-            acc[share] = part
+    with ProcessPoolExecutor(w - 1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit, initargs=(sum_rows,)) as pool:
+        futures = [pool.submit(_sum_share, share) for share in shares[1:]]
+        done = [(shares[0], sum_rows(shares[0]))]
+        for share, future in zip(shares[1:], futures):
+            try:
+                done.append((share, future.result()))
+            except BrokenProcessPool as err:
+                raise BdsdeError(f"the worker of field rows {list(share)} "
+                                 "ended without a result") from err
+    return done
 
 
-def _fork_share(sum_rows, share: range, accs) -> Tuple[int, int]:
-    """(pid, read end of its pipe) of a child that runs sum_rows(share),
-    pickles (None, *its rows of accs) or (exception,) into the pipe and
-    exits 0."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    code = 1                                # the child never returns
-    try:
-        os.close(read_fd)
-        try:
-            sum_rows(share)
-            result: tuple = (None, *(acc[share] for acc in accs))
-        except BaseException as err:        # raised again in the parent
-            result = (err,)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(result, pipe)
-        code = 0
-    finally:
-        os._exit(code)
+def _inherit(sum_rows) -> None:
+    """Pool initializer: keep the sum_rows that the forked worker inherited."""
+    global _sum_rows
+    _sum_rows = sum_rows
 
 
-def _reap(pid: int, fd: int) -> bytes:
-    """All that child pid wrote to pipe fd, or b"" unless it exited 0."""
-    with os.fdopen(fd, "rb") as pipe:
-        data = pipe.read()
-    return data if os.waitpid(pid, 0)[1] == 0 else b""
+def _sum_share(share: range) -> np.ndarray:
+    return _sum_rows(share)
 
 
 _DISPATCH = {

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -207,10 +208,12 @@ def test_spde_grid_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
         if cpus == 1:
             monkeypatch.setattr(bdsde.cli.os, "fork", no_fork)
         out = tmp_path / f"grid{cpus}.csv"
+        threads = set(threading.enumerate())
         assert main(["spde-grid", "--config", SMALL, "--reps", "2",
                      "--out", str(out)]) == 0
         monkeypatch.undo()
         no_children_left()
+        assert set(threading.enumerate()) == threads    # the pool is shut down
         csv[cpus] = out.read_bytes()
     assert csv[1] == csv[2] == csv[3]
 
@@ -232,6 +235,26 @@ def test_spde_grid_row_error_exits_3_and_reaps(capfd, monkeypatch, bad_row):
     captured = capfd.readouterr()
     assert captured.out == "before the field\n"
     assert captured.err == f"error: injected failure at row {bad_row}\n"
+
+
+def test_spde_grid_lowest_failing_share_error_wins_with_its_type(capfd, monkeypatch):
+    # at 3 CPUs the worker shares are rows [1, 4] and [2, 5]
+    real = bdsde.cli.spde_point
+    errors = {1: bdsde.ConfigError, 2: bdsde.EvaluationError}
+
+    def failing(coeffs, grid, domain, wpath, t_n, *args, **kwargs):
+        for row, error in errors.items():
+            if t_n == grid.times[row]:
+                raise error(f"injected failure at row {row}")
+        return real(coeffs, grid, domain, wpath, t_n, *args, **kwargs)
+
+    monkeypatch.setattr(bdsde.cli, "spde_point", failing)
+    monkeypatch.setattr(bdsde.cli.os, "cpu_count", lambda: 3)
+    assert main(["spde-grid", "--config", SMALL, "--reps", "2"]) == 2
+    no_children_left()
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: injected failure at row 1\n"
 
 
 def test_spde_grid_worker_without_a_result_is_an_error(capfd, monkeypatch):
