@@ -6,6 +6,12 @@ The package exports the ``__all__`` of each submodule; each public name is
 listed once, in its own module.
 """
 
+import os
+
+# one BLAS thread unless the user chose a count: spde-grid forks from one thread
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from . import experiments, forward, model, oracles, regression, solver
 from .experiments import *  # noqa: F401,F403
 from .forward import *  # noqa: F401,F403

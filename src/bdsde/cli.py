@@ -5,11 +5,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -100,55 +97,58 @@ def _cmd_rows(make_rows, config: ExperimentConfig, out: Optional[str],
 
 
 def _cmd_spde_grid(config: ExperimentConfig, out: Optional[str], args) -> int:
-    coeffs, grid, domain, partition, scfg = build_problem(config)
+    _, grid, domain, _, _ = build_problem(config)
     points = midpoint_lattice(domain, config.spatial_points)
     reps = 1 if args.reps is None else args.reps
-    seeds = derived_seeds(config, reps)
-    P = points.shape[0]
-
-    def sum_rows(share: range) -> np.ndarray:
-        # each row's sum over the seeds is formed in seed order in one process
-        acc = np.zeros((len(share), P, 2))
-        for seed in seeds:
-            wpath = sample_noise(seed, 1, grid, coeffs.d, coeffs.l).backward
-            for i, n in enumerate(share):
-                u, v = spde_point(coeffs, grid, domain, wpath,
-                                  float(grid.times[n]), points, config.M,
-                                  partition, scfg, seed=seed,
-                                  shift_enabled=config.shift_enabled)
-                acc[i, :, 0] += u[:, 0]
-                acc[i, :, 1] += v[:, 0, 0]
-        return acc
-
-    field = np.zeros((grid.N + 1, P, 2))
+    sum_rows = functools.partial(_field_rows, config, derived_seeds(config, reps))
+    field = np.zeros((grid.N + 1, points.shape[0], 2))
     for share, sums in _on_row_shares(sum_rows, grid.N + 1):
         field[share] = sums
     rows: List[Tuple] = [("t", "x", "u", "v")]
     for n in range(grid.N + 1):
-        for p in range(P):
+        for p in range(points.shape[0]):
             rows.append((float(grid.times[n]), float(points[p, 0]),
                          field[n, p, 0] / reps, field[n, p, 1] / reps))
     emit_csv(rows, out)
     return 0
 
 
+def _field_rows(config: ExperimentConfig, seeds: range, share: range) -> np.ndarray:
+    """u and v at the lattice points of the time rows in share, each row
+    summed over the seeds in seed order: an array (len(share), points, 2)."""
+    coeffs, grid, domain, partition, scfg = build_problem(config)
+    points = midpoint_lattice(domain, config.spatial_points)
+    acc = np.zeros((len(share), points.shape[0], 2))
+    for seed in seeds:
+        wpath = sample_noise(seed, 1, grid, coeffs.d, coeffs.l).backward
+        for i, n in enumerate(share):
+            u, v = spde_point(coeffs, grid, domain, wpath,
+                              float(grid.times[n]), points, config.M,
+                              partition, scfg, seed=seed,
+                              shift_enabled=config.shift_enabled)
+            acc[i, :, 0] += u[:, 0]
+            acc[i, :, 1] += v[:, 0, 0]
+    return acc
+
+
 def _on_row_shares(sum_rows, rows: int) -> List[Tuple[range, np.ndarray]]:
     """(share, sum_rows(share)) over the interleaved shares range(j, rows, w)
     of the rows, w = min(CPUs, rows).  Share 0 runs in this process; the
-    others run on a fork-context pool of w - 1 workers, which inherit
-    sum_rows instead of unpickling it.  This process's own error comes
-    first, then a worker's, raised again with its type, in share order; on
-    an error the shares that are running are waited for, and no worker
-    outlives the call."""
+    others run on a fork-context pool of w - 1 workers, to which sum_rows is
+    pickled.  This process's own error comes first, then a worker's, raised
+    again with its type, in share order; on an error the shares that are
+    running are waited for, and no worker outlives the call."""
     w = min(os.cpu_count() or 1, rows)
     shares = [range(j, rows, w) for j in range(w)]
     if w == 1:
         return [(shares[0], sum_rows(shares[0]))]
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     sys.stdout.flush()      # a forked worker flushes what it inherited
     sys.stderr.flush()
-    with ProcessPoolExecutor(w - 1, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_inherit, initargs=(sum_rows,)) as pool:
-        futures = [pool.submit(_sum_share, share) for share in shares[1:]]
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(w - 1, mp_context=fork) as pool:
+        futures = [pool.submit(sum_rows, share) for share in shares[1:]]
         done = [(shares[0], sum_rows(shares[0]))]
         for share, future in zip(shares[1:], futures):
             try:
@@ -157,16 +157,6 @@ def _on_row_shares(sum_rows, rows: int) -> List[Tuple[range, np.ndarray]]:
                 raise BdsdeError(f"the worker of field rows {list(share)} "
                                  "ended without a result") from err
     return done
-
-
-def _inherit(sum_rows) -> None:
-    """Pool initializer: keep the sum_rows that the forked worker inherited."""
-    global _sum_rows
-    _sum_rows = sum_rows
-
-
-def _sum_share(share: range) -> np.ndarray:
-    return _sum_rows(share)
 
 
 _DISPATCH = {

@@ -277,6 +277,37 @@ def test_spde_grid_worker_without_a_result_is_an_error(capfd, monkeypatch):
                             "ended without a result\n")
 
 
+def test_spde_grid_worker_needs_nothing_it_inherited():
+    # a spawned worker starts from a fresh interpreter: its row task must
+    # pickle and rebuild everything it uses from the config
+    code = ("import multiprocessing, os, sys\n"
+            "from bdsde import cli\n"
+            "spawn = multiprocessing.get_context('spawn')\n"
+            "multiprocessing.get_context = lambda method=None: spawn\n"
+            "os.cpu_count = lambda: 2\n"
+            f"sys.exit(cli.main(['spde-grid', '--config', {SMALL!r}, '--reps', '2']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=module_env())
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (Path(SMALL).parent / "spde_grid_small.csv").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads through /proc")
+def test_import_leaves_one_thread_to_fork_from():
+    # numpy's and scipy's OpenBLAS each start a thread unless told otherwise;
+    # a count that the user set wins over the package default
+    env = module_env()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    code = ("import bdsde, os; print(len(os.listdir('/proc/self/task')), "
+            "os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'))")
+    out = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=run_env, check=True).stdout
+           for run_env in (env, dict(env, OMP_NUM_THREADS="2"))]
+    assert out == ["1 1 1\n", "1 1 2\n"]
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"mu": 0.05}')
