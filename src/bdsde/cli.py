@@ -23,7 +23,7 @@ from .experiments import (
     run_convergence,
     run_table,
 )
-from .model import BdsdeError, ConfigError, sample_noise
+from .model import BdsdeError, ConfigError, _on_shares, sample_noise
 from .oracles import midpoint_lattice, spde_point
 
 
@@ -101,8 +101,14 @@ def _cmd_spde_grid(config: ExperimentConfig, out: Optional[str], args) -> int:
     points = midpoint_lattice(domain, config.spatial_points)
     reps = 1 if args.reps is None else args.reps
     sum_rows = functools.partial(_field_rows, config, derived_seeds(config, reps))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    sys.stdout.flush()      # a forked worker flushes what it inherited
+    sys.stderr.flush()
+    # threads made the restarted solves slower; a forked worker imports nothing
+    forked = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
     field = np.zeros((grid.N + 1, points.shape[0], 2))
-    for share, sums in _on_row_shares(sum_rows, grid.N + 1):
+    for share, sums in _on_shares(sum_rows, range(grid.N + 1), grid.N + 1, forked):
         field[share] = sums
     rows: List[Tuple] = [("t", "x", "u", "v")]
     for n in range(grid.N + 1):
@@ -129,34 +135,6 @@ def _field_rows(config: ExperimentConfig, seeds: range, share: range) -> np.ndar
             acc[i, :, 0] += u[:, 0]
             acc[i, :, 1] += v[:, 0, 0]
     return acc
-
-
-def _on_row_shares(sum_rows, rows: int) -> List[Tuple[range, np.ndarray]]:
-    """(share, sum_rows(share)) over the interleaved shares range(j, rows, w)
-    of the rows, w = min(CPUs, rows).  Share 0 runs in this process; the
-    others run on a fork-context pool of w - 1 workers, to which sum_rows is
-    pickled.  This process's own error comes first, then a worker's, raised
-    again with its type, in share order; on an error the shares that are
-    running are waited for, and no worker outlives the call."""
-    w = min(os.cpu_count() or 1, rows)
-    shares = [range(j, rows, w) for j in range(w)]
-    if w == 1:
-        return [(shares[0], sum_rows(shares[0]))]
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    sys.stdout.flush()      # a forked worker flushes what it inherited
-    sys.stderr.flush()
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(w - 1, mp_context=fork) as pool:
-        futures = [pool.submit(sum_rows, share) for share in shares[1:]]
-        done = [(shares[0], sum_rows(shares[0]))]
-        for share, future in zip(shares[1:], futures):
-            try:
-                done.append((share, future.result()))
-            except BrokenProcessPool as err:
-                raise BdsdeError(f"the worker of field rows {list(share)} "
-                                 "ended without a result") from err
-    return done
 
 
 _DISPATCH = {

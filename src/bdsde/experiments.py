@@ -27,7 +27,7 @@ from .model import (
     Domain,
     InvalidParameterError,
     TimeGrid,
-    _map_on_cpus,
+    _on_shares,
     _whole,
     build_grid,
     sample_noise,
@@ -332,8 +332,9 @@ def _run_set(
             snap.append(float(vals.mean()))
         return snap
 
-    runs = _map_on_cpus(one, seeds, workers=threads)
-    return {n: RunStats(values=tuple(run[i] for run in runs))
+    shares = _on_shares(lambda share: [one(seed) for seed in share], seeds, threads)
+    runs = {seed: snap for share, snaps in shares for seed, snap in zip(share, snaps)}
+    return {n: RunStats(values=tuple(runs[seed][i] for seed in seeds))
             for i, n in enumerate(time_indices)}
 
 

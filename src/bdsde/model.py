@@ -20,7 +20,7 @@ determinism is independent of path order, thread scheduling and worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -299,14 +299,33 @@ def _fill_gaussians(out: np.ndarray, seed: int, stream: int, start: int) -> np.n
     return ndtri(out, out=out)
 
 
-def _map_on_cpus(fn: Callable, items: Sequence, workers: int) -> list:
-    """[fn(item) for item in items] on min(workers, len(items), CPUs) threads;
-    a single worker runs in this thread, as a pool only adds start-up."""
-    workers = min(workers, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_shares(fn: Callable, tasks: Sequence, limit: int, pool: Optional[Callable] = None) -> list:
+    """[(share, fn(share))] over the interleaved shares tasks[j::w] in share
+    order, w = min(limit, len(tasks), CPUs).  Share 0 runs in the calling
+    thread, the others on pool(w - 1), by default a thread pool; w = 1 starts
+    no pool.  The caller's own error comes first, then the workers' in share
+    order; on an error the running shares are waited for."""
+    w = min(limit, len(tasks), _cpus())
+    if w <= 1:
+        return [(tasks, fn(tasks))]
+    shares = [tasks[j::w] for j in range(w)]
+    with (pool or ThreadPoolExecutor)(w - 1) as workers:
+        futures = [workers.submit(fn, share) for share in shares[1:]]
+        done = [(shares[0], fn(shares[0]))]
+        for share, future in zip(shares[1:], futures):
+            try:
+                done.append((share, future.result()))
+            except BrokenExecutor as err:
+                raise BdsdeError(f"the worker of share {list(share)} "
+                                 "ended without a result") from err
+    return done
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,9 +372,8 @@ def sample_noise(seed: int, M: int, grid: TimeGrid, d: int, l: int) -> NoiseBund
         out = np.empty((N, M, d))
         # whole paths per chunk, so that the scratch blocks of all workers
         # together hold at most _SCRATCH_WORDS words (a longer path is a chunk)
-        workers = os.cpu_count() or 1
+        workers = _cpus()
         paths = min(M, max(1, _SCRATCH_WORDS // (workers * max(N * d, 1))))
-        starts = range(0, M, paths)
 
         def fill(share: range) -> None:
             scratch = np.empty((paths, N, d))
@@ -364,10 +382,9 @@ def sample_noise(seed: int, M: int, grid: TimeGrid, d: int, l: int) -> NoiseBund
                 block *= root_h
                 out[:, m0:m0 + block.shape[0]] = block.transpose(1, 0, 2)
 
-        # each worker fills every workers-th chunk into its own column blocks
-        # of one array, each chunk on its own Philox counter
-        shares = [starts[w::workers] for w in range(min(workers, len(starts)))]
-        _map_on_cpus(fill, shares, workers=len(shares))
+        # each worker fills its chunks into their own column blocks of one
+        # array, each chunk on its own Philox counter
+        _on_shares(fill, range(0, M, paths), workers)
         return _frozen(out)
 
     return NoiseBundle(seed=seed, grid=grid, M=M, d=d, l=l,

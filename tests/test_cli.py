@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bdsde
-from bdsde import build_problem, load_config, repeat_runs, sample_noise, solve
+from bdsde import build_grid, build_problem, load_config, repeat_runs, sample_noise, solve
 from bdsde.cli import main
 
 
@@ -204,7 +204,7 @@ def test_spde_grid_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
     # small.json has 7 time rows, so every count below forks at most 2 children
     csv = {}
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(bdsde.cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(bdsde.model, "_cpus", lambda: cpus)
         if cpus == 1:
             monkeypatch.setattr(bdsde.cli.os, "fork", no_fork)
         out = tmp_path / f"grid{cpus}.csv"
@@ -228,7 +228,7 @@ def test_spde_grid_row_error_exits_3_and_reaps(capfd, monkeypatch, bad_row):
         return real(coeffs, grid, domain, wpath, t_n, *args, **kwargs)
 
     monkeypatch.setattr(bdsde.cli, "spde_point", failing)
-    monkeypatch.setattr(bdsde.cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bdsde.model, "_cpus", lambda: 2)
     print("before the field")
     assert main(["spde-grid", "--config", SMALL, "--reps", "2"]) == 3
     no_children_left()
@@ -249,7 +249,7 @@ def test_spde_grid_lowest_failing_share_error_wins_with_its_type(capfd, monkeypa
         return real(coeffs, grid, domain, wpath, t_n, *args, **kwargs)
 
     monkeypatch.setattr(bdsde.cli, "spde_point", failing)
-    monkeypatch.setattr(bdsde.cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(bdsde.model, "_cpus", lambda: 3)
     assert main(["spde-grid", "--config", SMALL, "--reps", "2"]) == 2
     no_children_left()
     captured = capfd.readouterr()
@@ -268,28 +268,48 @@ def test_spde_grid_worker_without_a_result_is_an_error(capfd, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(bdsde.cli, "spde_point", vanishing)
-    monkeypatch.setattr(bdsde.cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bdsde.model, "_cpus", lambda: 2)
     assert main(["spde-grid", "--config", SMALL]) == 3
     no_children_left()
     captured = capfd.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: the worker of field rows [1, 3, 5] "
+    assert captured.err == ("error: the worker of share [1, 3, 5] "
                             "ended without a result\n")
 
 
 def test_spde_grid_worker_needs_nothing_it_inherited():
     # a spawned worker starts from a fresh interpreter: its row task must
     # pickle and rebuild everything it uses from the config
-    code = ("import multiprocessing, os, sys\n"
-            "from bdsde import cli\n"
+    code = ("import multiprocessing, sys\n"
+            "from bdsde import cli, model\n"
             "spawn = multiprocessing.get_context('spawn')\n"
             "multiprocessing.get_context = lambda method=None: spawn\n"
-            "os.cpu_count = lambda: 2\n"
+            "model._cpus = lambda: 2\n"
             f"sys.exit(cli.main(['spde-grid', '--config', {SMALL!r}, '--reps', '2']))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=module_env())
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == (Path(SMALL).parent / "spde_grid_small.csv").read_bytes()
+
+
+def test_workers_count_the_cpus_the_process_may_use(capsys, monkeypatch):
+    # a process masked to one CPU of an 8-CPU host forks no field worker
+    # and starts no noise pool
+    sizes = []
+
+    class RecordingPool(bdsde.model.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(bdsde.model, "ThreadPoolExecutor", RecordingPool)
+    assert main(["spde-grid", "--config", SMALL, "--reps", "2"]) == 0
+    assert capsys.readouterr().out == (Path(SMALL).parent / "spde_grid_small.csv").read_text()
+    sample_noise(5, 8195, build_grid(1.0, 256), 1, 1)
+    assert sizes == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -356,7 +376,7 @@ def test_seed_plus_repetitions_overflow_exits_2(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "2**64" in captured.err and captured.out == ""
     # spde-grid refuses the seeds before it forks its row shares
-    monkeypatch.setattr(bdsde.cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bdsde.model, "_cpus", lambda: 2)
     monkeypatch.setattr(bdsde.cli.os, "fork", no_fork)
     assert main(["spde-grid", "--config", cfg, "--reps", "2"]) == 2
     assert "2**64" in capsys.readouterr().err

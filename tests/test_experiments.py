@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import re
+from concurrent.futures import Future
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -17,6 +18,7 @@ from bdsde import (
     CoefficientSet,
     ConfigError,
     Domain,
+    EvaluationError,
     ExperimentConfig,
     InvalidParameterError,
     TABLE_M_GRID,
@@ -370,19 +372,57 @@ def test_repetition_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return list(map(fn, items))
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(model, "ThreadPoolExecutor", SerialPool)
     cfg = ExperimentConfig(**base_kwargs(M=64))
     serial = repeat_runs(cfg, 3)
-    monkeypatch.setattr(model.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(model, "_cpus", lambda: 4)
     for threads in (10 ** 9, 2, 3):
         assert repeat_runs(cfg, 3, threads=threads).values == serial.values
     assert repeat_runs(cfg, 6, threads=10 ** 9).values[:3] == serial.values
+    assert sizes == [2, 1, 2, 3]
+
+
+def test_without_an_affinity_call_an_unknown_cpu_count_is_one_worker(monkeypatch):
+    # where the platform has no sched_getaffinity and os.cpu_count knows
+    # nothing, repetitions and noise chunks run in the calling thread
+    sizes = []
+
+    class RecordingPool(model.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    cfg = ExperimentConfig(**base_kwargs(M=64))
+    serial = repeat_runs(cfg, 3)
+    monkeypatch.setattr(model, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.delattr(model.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(model.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(model, "_SCRATCH_WORDS", 64)
+    assert model._cpus() == 1
     assert repeat_runs(cfg, 3, threads=8).values == serial.values
-    assert sizes == [3, 2, 3, 4]
+    assert sizes == []
+
+
+def test_the_calling_threads_error_comes_first(monkeypatch):
+    # on 2 CPUs the calling thread runs seeds seed+0 and seed+2, the worker
+    # seed+1 and seed+3; seed+2's error is raised, not seed+1's
+    cfg = ExperimentConfig(**base_kwargs(M=64))
+    real = experiments._solve_seed
+
+    def failing(config, problem, seed):
+        if seed - cfg.seed in (1, 2):
+            raise EvaluationError(f"injected failure at seed+{seed - cfg.seed}")
+        return real(config, problem, seed)
+
+    monkeypatch.setattr(experiments, "_solve_seed", failing)
+    monkeypatch.setattr(model, "_cpus", lambda: 2)
+    with pytest.raises(EvaluationError, match=r"seed\+2"):
+        repeat_runs(cfg, 4, threads=2)
 
 
 @settings(max_examples=12, deadline=None)
@@ -394,7 +434,7 @@ def test_y0_does_not_depend_on_batching_across_threads(seed, reps, threads):
     # own thread
     cfg = ExperimentConfig(**base_kwargs(M=64, seed=seed))
     serial = repeat_runs(cfg, reps)
-    with mock.patch.object(model.os, "cpu_count", lambda: 4), \
+    with mock.patch.object(model, "_cpus", lambda: 4), \
             mock.patch.object(model, "_SCRATCH_WORDS", 64):
         assert repeat_runs(cfg, reps, threads=threads).values == serial.values
 

@@ -371,7 +371,7 @@ def test_chunked_backward_noise_equals_one_shot_draw(monkeypatch):
     # are longer than a chunk and so a chunk of their own; 3-word forward
     # paths go 2 to a chunk, the last of the 4 chunks ragged
     monkeypatch.setattr(model, "_SCRATCH_WORDS", 8)
-    monkeypatch.setattr(model.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(model, "_cpus", lambda: 1)
     g = build_grid(1.0, 25)
     nb = sample_noise(11, 7, dataclasses.replace(g, times=g.times[:2]), 3, 3)
     whole = reference_gaussians(11, _FORWARD_STREAM, 0, 7 * 3) * np.sqrt(g.h)
@@ -424,18 +424,18 @@ def test_noise_bytes_do_not_depend_on_the_worker_count(monkeypatch, M, N, d, l):
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for cpus in (None, 1, 2, 8):
-            monkeypatch.setattr(model.os, "cpu_count", lambda: cpus)
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(model, "_cpus", lambda: cpus)
             nb = sample_noise(5, M, g, d, l)
             assert nb.forward.tobytes() == time_major(fwd, M, N, d)
             assert nb.backward.tobytes() == bwd
     finally:
         sys.setswitchinterval(switch)
-    # one worker (no CPU count, 1 CPU, or one chunk even with 8 CPUs) fills
-    # in the calling thread: no pool starts
+    # one worker (1 CPU, or one chunk even with 8 CPUs) fills in the calling
+    # thread: no pool starts
     small = sample_noise(5, 16, g, d, l)
     assert small.forward.tobytes() == time_major(fwd[:16 * N * d], 16, N, d)
-    assert sizes == [2, 8]
+    assert sizes == [1, 7]
 
 
 def test_noise_temporaries_do_not_scale_with_the_draw():
