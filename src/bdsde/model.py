@@ -19,6 +19,7 @@ determinism is independent of path order, thread scheduling and worker count.
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -311,14 +312,26 @@ def _on_shares(fn: Callable, tasks: Sequence, limit: int, pool: Optional[Callabl
     order, w = min(limit, len(tasks), CPUs).  Share 0 runs in the calling
     thread, the others on pool(w - 1), by default a thread pool; w = 1 starts
     no pool.  The caller's own error comes first, then the workers' in share
-    order; on an error the running shares are waited for."""
+    order; on an error the running shares are waited for.  On threads, fn
+    gets each share as an iterator that ends once a lower share has failed,
+    so the wait is at most one task; a pool's shares run whole."""
     w = min(limit, len(tasks), _cpus())
     if w <= 1:
         return [(tasks, fn(tasks))]
     shares = [tasks[j::w] for j in range(w)]
+    failed = [False] * w
+
+    def run(j: int):
+        try:
+            return fn(itertools.takewhile(lambda _: not any(failed[:j]), shares[j]))
+        except BaseException:
+            failed[j] = True
+            raise
+
     with (pool or ThreadPoolExecutor)(w - 1) as workers:
-        futures = [workers.submit(fn, share) for share in shares[1:]]
-        done = [(shares[0], fn(shares[0]))]
+        futures = [workers.submit(fn, shares[j]) if pool else workers.submit(run, j)
+                   for j in range(1, w)]
+        done = [(shares[0], fn(shares[0]) if pool else run(0))]
         for share, future in zip(shares[1:], futures):
             try:
                 done.append((share, future.result()))

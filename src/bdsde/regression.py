@@ -5,7 +5,9 @@ projecting Monte Carlo targets onto indicator functions of a hypercube
 partition of [d1, d2).  Because the indicators are orthogonal under the
 empirical scalar product, the projection coefficients reduce to per-cell
 arithmetic means; ``lsq_oracle`` recomputes them through the assembled
-normal equations as an independent cross-check.
+normal equations as an independent cross-check.  A fit is one table with a
+zero row after the cells', which the id -1 of a point outside [d1, d2)
+reads, so any read of a fit is one take.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "build_partition",
     "FitPlan",
     "fit_plan",
-    "gather",
     "project",
     "lsq_oracle",
 ]
@@ -100,26 +101,25 @@ def build_partition(d1, d2, delta: float) -> HypercubePartition:
 class CellFunction:
     """Piecewise-constant function with one coefficient vector per cell.
 
-    Evaluation outside [d1, d2) returns zero; no clamping, so a point that
-    escapes the basis range shows up as a hard zero rather than a silently
-    extrapolated value.  empty_cells and out_of_range_samples record how the
-    fit was built and are carried into solver diagnostics.
+    Evaluation outside [d1, d2) reads the table's zero last row; no
+    clamping, so a point that escapes the basis range shows up as a hard
+    zero rather than a silently extrapolated value.  empty_cells and
+    out_of_range_samples record how the fit was built and are carried into
+    solver diagnostics.
     """
 
     partition: HypercubePartition
-    coefficients: Array          # (total_cells, *target shape)
+    table: Array                 # (total_cells + 1, *target shape)
     empty_cells: int = 0
     out_of_range_samples: int = 0
 
+    @property
+    def coefficients(self) -> Array:
+        """The cells' rows of ``table``, (total_cells, *target shape)."""
+        return self.table[:-1]
+
     def evaluate(self, x: Array) -> Array:
-        return gather(self.coefficients, self.partition.cell_index(x))
-
-
-def gather(coefficients: Array, cells: Array) -> Array:
-    """Coefficient rows at flat cell ids; an id of -1 (outside [d1, d2))
-    takes the zero row appended after the last cell."""
-    zero = np.zeros((1,) + coefficients.shape[1:])
-    return np.concatenate([coefficients, zero]).take(cells, axis=0)
+        return self.table.take(self.partition.cell_index(x), axis=0)
 
 
 # ------------------------------- projection -------------------------------- #
@@ -145,8 +145,8 @@ def _check_finite(flat: Array) -> None:
 class FitPlan:
     """One fit population's cell bookkeeping, shared by every fit over it.
     ``bins`` is 1 + each sample's cell id, so a sample outside [d1, d2)
-    has bin 0 and ``bins - 1`` gathers zero there; ``divisor`` is the
-    per-cell sample count, 1 for an empty cell (whose sum is 0)."""
+    has bin 0, whose sum the fit drops; ``divisor`` is the per-cell sample
+    count, 1 for an empty cell (whose sum is 0)."""
 
     partition: HypercubePartition
     bins: Array                  # (M,) int64
@@ -165,8 +165,9 @@ class FitPlan:
         _check_finite(flat)
         bins = self.bins if C == 1 else (self.bins * C + np.arange(C)[:, None]).ravel()
         sums = np.bincount(bins, weights=flat.T.ravel(), minlength=(total + 1) * C)
-        coeffs = sums[C:].reshape(total, C) / self.divisor[:, None]
-        return CellFunction(self.partition, coeffs.reshape((total,) + vs.shape[1:]),
+        table = np.zeros((total + 1, C))
+        np.divide(sums[C:].reshape(total, C), self.divisor[:, None], out=table[:-1])
+        return CellFunction(self.partition, table.reshape((total + 1,) + vs.shape[1:]),
                             self.empty_cells, self.out_of_range_samples)
 
 

@@ -16,7 +16,8 @@ is the paths live after t_n: the z-fit and every y-fit run over their
 rows alone, and the driver reads only them.  An exited path keeps its
 frozen terminal value as y and has realized z zero.  The pass carries
 y_{n+1} and z_{n+1}(X_{n+1}) of every path; the solution reads realized
-values back from the fits and terminal values.
+values back from the fits and terminal values.  Every read of a fit is one
+take of its table at the time-n cell ids.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .model import (
     _shaped,
     _whole,
 )
-from .regression import FitPlan, HypercubePartition, fit_plan, gather, project
+from .regression import FitPlan, HypercubePartition, fit_plan, project
 
 Array = np.ndarray
 
@@ -142,7 +143,7 @@ def z_step(paths: PathSet, plan: FitPlan, cells: Array, base: Array,
     targets = base[:, :, None] * np.asarray(dB_n, dtype=np.float64)[:, None, :]
     targets /= paths.grid.h
     z_fn = plan.fit(targets)
-    return z_fn, gather(z_fn.coefficients, cells)
+    return z_fn, z_fn.table.take(cells, axis=0)
 
 
 def y_step(n: int, paths: PathSet, plan: FitPlan, rows: slice | Array, x_n: Array,
@@ -155,10 +156,10 @@ def y_step(n: int, paths: PathSet, plan: FitPlan, rows: slice | Array, x_n: Arra
     ``z_n`` (a slice while every path is live); ``plan`` is theirs and
     serves every sweep.  ``base`` holds y_{n+1} + g dW_n at the live rows
     and the frozen terminal value at exited ones.  A sweep fits base + h f
-    at the live rows, f read at the previous iterate's coefficients; with
-    zero iterations base itself is fitted and f never enters.  The fitted
-    y overwrites ``base`` at the live rows, which makes it the realized y_n
-    of every path.  Returns (CellFunction, base, residuals).
+    at the live rows, f read at the previous iterate's table (a zero table
+    first); with zero iterations base itself is fitted and f never enters.
+    The fitted y overwrites ``base`` at the live rows, which makes it the
+    realized y_n of every path.  Returns (CellFunction, base, residuals).
     """
     residuals = np.zeros(picard_iterations)
     cells_live, base_live = cells[rows], base[rows]
@@ -167,14 +168,15 @@ def y_step(n: int, paths: PathSet, plan: FitPlan, rows: slice | Array, x_n: Arra
     else:
         x_live, z_live = x_n[rows], z_n[rows]
         t_n = float(paths.grid.times[n])
-        coef = np.zeros((plan.partition.total_cells, coeffs.k))
+        table = np.zeros((plan.partition.total_cells + 1, coeffs.k))
         for it in range(picard_iterations):
-            hf = paths.grid.h * coeffs.eval_f(t_n, x_live, gather(coef, cells_live), z_live)
+            hf = paths.grid.h * coeffs.eval_f(t_n, x_live, table.take(cells_live, axis=0), z_live)
             hf += base_live
             y_fn = plan.fit(hf)
-            residuals[it] = float(np.max(np.abs(y_fn.coefficients - coef)))
-            coef = y_fn.coefficients
-    base[rows] = gather(y_fn.coefficients, cells_live)
+            # both zero rows add 0 to the max
+            residuals[it] = float(np.max(np.abs(y_fn.table - table)))
+            table = y_fn.table
+    base[rows] = y_fn.table.take(cells_live, axis=0)
     return y_fn, base, residuals
 
 
@@ -312,7 +314,7 @@ def strong_error(
     max over time steps of the pre-exit sample mean of |y_ref - y_n|^2,
     plus the Riemann sum h * sum_n of the pre-exit mean of the squared
     Frobenius gap in z.  Steps with no pre-exit path are skipped.  Each
-    row is read once and both fits are gathered at its live states, which
+    row is read once and both fits are evaluated at its live states, which
     gives the bytes of ``y_at(n)`` and of z_funcs[n] at those paths.
     """
     paths = solution.paths
@@ -324,9 +326,8 @@ def strong_error(
             continue
         x = paths.at(n)[live]
         t = float(grid.times[n])
-        cells = solution.y_funcs[n].partition.cell_index(x)
-        y = gather(solution.y_funcs[n].coefficients, cells)
-        z = gather(solution.z_funcs[n].coefficients, cells)
+        y = solution.y_funcs[n].evaluate(x)
+        z = solution.z_funcs[n].evaluate(x)
         dy = _shaped("reference_y(t, x)", reference_y(t, x), y.shape) - y
         worst_y = max(worst_y, float(np.mean(np.sum(dy * dy, axis=-1))))
         dz = _shaped("reference_z(t, x)", reference_z(t, x), z.shape) - z

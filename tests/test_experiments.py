@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import re
+import threading
+import time
 from concurrent.futures import Future
 from unittest import mock
 
@@ -423,6 +425,30 @@ def test_the_calling_threads_error_comes_first(monkeypatch):
     monkeypatch.setattr(model, "_cpus", lambda: 2)
     with pytest.raises(EvaluationError, match=r"seed\+2"):
         repeat_runs(cfg, 4, threads=2)
+
+
+@pytest.mark.parametrize("cpus, bad, ran", [(2, 0, {1}), (3, 1, {0, 2, 3, 6})])
+def test_thread_shares_stop_before_their_next_task_once_a_lower_share_failed(
+        monkeypatch, cpus, bad, ran):
+    # each task takes 0.2 s, and every share starts before task ``bad``
+    # fails.  A share above the failing one ends with the task it is in;
+    # the shares below it run out, since their errors would come first
+    monkeypatch.setattr(model, "_cpus", lambda: cpus)
+    started = threading.Barrier(cpus, timeout=10.0)
+    done = set()
+
+    def slow(share):
+        for i, task in enumerate(share):
+            if i == 0:
+                started.wait()
+            if task == bad:
+                raise EvaluationError(f"injected failure at task {task}")
+            time.sleep(0.2)
+            done.add(task)
+
+    with pytest.raises(EvaluationError, match=f"task {bad}$"):
+        model._on_shares(slow, range(3 * cpus), cpus)
+    assert done == ran
 
 
 @settings(max_examples=12, deadline=None)

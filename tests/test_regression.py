@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from bdsde import EvaluationError, InvalidParameterError
 from bdsde.regression import (
-    build_partition, fit_plan, gather, lsq_oracle, project,
+    build_partition, fit_plan, lsq_oracle, project,
 )
 
 
@@ -286,15 +286,38 @@ def test_project_is_the_id_based_fit(problem):
     if rows.size:
         same = project(p, xs[rows], vs[rows])
         assert np.array_equal(same.coefficients, fn.coefficients)
-    # evaluation is the gather at the probes' ids, zero outside [d1, d2)
+    # evaluation is the take of the table at the probes' ids, zero outside [d1, d2)
     ids = p.cell_index(probes)
     expected = np.where((ids >= 0).reshape((-1,) + (1,) * (vs.ndim - 1)),
                         fn.coefficients[np.maximum(ids, 0)], 0.0)
     assert np.array_equal(fn.evaluate(probes), expected)
-    assert np.array_equal(gather(fn.coefficients, ids), expected)
+    assert np.array_equal(fn.table.take(ids, axis=0), expected)
     if rows.size:
         oracle = lsq_oracle(p, xs[rows], vs[rows])
         assert np.max(np.abs(fn.coefficients - oracle)) < 1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda total: st.tuples(
+    st.just(total),
+    hnp.arrays(np.int64, st.integers(1, 60), elements=st.integers(-1, total - 1)),
+    st.integers(1, 3),
+    hnp.arrays(np.int64, st.integers(0, 20), elements=st.integers(-1, total - 1)),
+)), st.data())
+def test_fit_table_is_the_cell_means_over_a_zero_row(problem, data):
+    # row c of a fit's table is cell c's mean and its last row is zero, so a
+    # take at ids in [-1, total) gives what appending a zero row to the
+    # cell means and taking from that gave
+    total, cells, C, ids = problem
+    vs = data.draw(hnp.arrays(np.float64, (cells.size, C),
+                              elements=st.floats(-10.0, 10.0, allow_nan=False)))
+    fn = fit_plan(build_partition([0.0], [float(total)], 1.0), cells).fit(vs)
+    means, _, _ = column_fit(cells, vs, np.ones(cells.size, dtype=bool), total)
+    assert fn.table.shape == (total + 1, C)
+    assert not fn.table[-1].any()
+    assert np.array_equal(fn.coefficients, fn.table[:-1])
+    assert np.array_equal(fn.table.take(ids, axis=0),
+                          np.concatenate([means, np.zeros((1, C))]).take(ids, axis=0))
 
 
 # ----------------------- plans and the lean cell lookup --------------------- #

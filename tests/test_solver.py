@@ -252,19 +252,40 @@ def test_one_plan_per_population_and_one_lookup_per_step(monkeypatch):
 
 @pytest.mark.parametrize("I", [0, 3])
 def test_g_term_reads_the_carried_z_without_a_gather(monkeypatch, I):
-    # per step one gather of the z-fit (every path, carried to the next
-    # step's g-term), one per Picard sweep and one realized y: N (I + 2)
+    # every read of a fit is a take of its table.  Per step: the z-fit and
+    # max(I, 1) y-fits; one take of the z-fit (every path, carried to the
+    # next step's g-term), one of each Picard iterate but the last and one
+    # realized y.  The g-term sees the carried z and makes no read of its own
     g = build_grid(0.25, 20)
     nb = sample_noise(3, 512, g, 1, 1)
-    calls = []
-    gather = solver.gather
-    monkeypatch.setattr(solver, "gather", lambda *a: calls.append(1) or gather(*a))
+    fits, takes, zs = [], [], []
+
+    class Table(np.ndarray):
+        def take(self, *args, **kwargs):
+            takes.append(1)
+            return self.view(np.ndarray).take(*args, **kwargs)
+
+    def counted(plan, vs):
+        fits.append(1)
+        fn = fit(plan, vs)
+        return dataclasses.replace(fn, table=fn.table.view(Table))
+
+    fit = regression.FitPlan.fit
+    monkeypatch.setattr(regression.FitPlan, "fit", counted)
+    c = reference_coeffs(g=lambda t, x, y, z: zs.append(z.copy()) or g_linear(t, x, y, z))
     for lo, hi in ((60.0, 200.0), (90.0, 110.0)):  # all live; with exits
-        calls.clear()
-        solve(reference_coeffs(g=g_linear), g, Domain.box([lo], [hi]), nb, [100.0],
-              build_partition([lo], [hi], 1.0),
-              SolverConfig(mode="bdsde-random-terminal", picard_iterations=I))
-        assert len(calls) == 20 * (I + 2)
+        fits.clear()
+        takes.clear()
+        zs.clear()
+        sol = solve(c, g, Domain.box([lo], [hi]), nb, [100.0], build_partition([lo], [hi], 1.0),
+                    SolverConfig(mode="bdsde-random-terminal", picard_iterations=I))
+        # the terminal fit, then the steps'
+        assert len(fits) == 1 + 20 * (1 + max(I, 1))
+        assert len(takes) == 20 * (1 + max(I - 1, 0) + 1)
+        assert len(zs) == 20 and not zs[0].any()
+        for n, z in zip(range(18, -1, -1), zs[1:]):
+            live = sol.paths.live_mask(n)
+            assert np.array_equal(z, sol.z_funcs[n + 1].evaluate(sol.paths.at(n + 1))[live])
 
 
 @pytest.mark.parametrize("bounds", [(60.0, 200.0), (90.0, 110.0)])
@@ -359,7 +380,8 @@ def reference_backward(coeffs, grid, paths, noise, partition, mode, I):
 
     def masked_fit(cells, targets, live):
         coef, empty, _ = column_fit(cells, targets.reshape(M, -1), live, partition.total_cells)
-        return CellFunction(partition, coef.reshape((-1,) + targets.shape[1:]), empty)
+        table = np.concatenate([coef, np.zeros((1, coef.shape[1]))])
+        return CellFunction(partition, table.reshape((-1,) + targets.shape[1:]), empty)
 
     z_next = None
     for n in range(N - 1, -1, -1):
